@@ -90,7 +90,7 @@ def parse_config(argv: list[str] | None = None) -> ExperimentSpec:
     file_values = _read_config_file(args.config, parser) if args.config else {}
 
     def pick(key: str):
-        flag = getattr(args, key if key != "out" else "out", None)
+        flag = getattr(args, key, None)
         if flag is not None:
             return flag
         if key in file_values:

@@ -97,20 +97,28 @@ def tqh_oracle(
     register: "tuple[int, ...] | list[int] | range",
     photon: int,
     ledger: ResourceLedger | None = None,
+    repeats: int = 1,
 ) -> StateVector:
-    """One coherent query: |k>|psi> -> |k> e^{2*pi*i*k*omega0*T*Z} |psi>.
+    """`repeats` coherent queries: |k>|psi> -> |k> e^{2*pi*i*repeats*k*omega0*T*Z} |psi>.
 
     The register holds the tick-rate index k in superposition; the photon
-    qubit absorbs the rotation.  Costs one query at rate 2**len(register)-1
-    (the largest branch present), recorded on the ledger when one is given.
+    qubit absorbs the rotation.  Back-to-back queries on one register are the
+    same diagonal rotation, so `repeats` of them are applied as one rotation
+    by `repeats` times the angle.  Each still costs one query at rate
+    2**len(register)-1 (the largest branch present), recorded on the ledger
+    when one is given.
     """
+    repeats = int(repeats)
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     reg = tuple(int(q) for q in register)
-    phi = clock.phi_star
     count = 1 << len(reg)
-    thetas = 2.0 * np.pi * ((np.arange(count) * phi) % 1.0)
-    out = indexed_phase(state, reg, photon, thetas)
+    turns = (np.arange(count) * clock.phi_star) % 1.0
+    if repeats > 1:
+        turns = (repeats * turns) % 1.0
+    out = indexed_phase(state, reg, photon, 2.0 * np.pi * turns)
     if ledger is not None:
-        ledger.record_query(count - 1)
+        ledger.record_query(count - 1, count=repeats)
     return out
 
 

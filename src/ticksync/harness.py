@@ -65,6 +65,10 @@ class ExperimentSpec:
             raise ValueError(
                 f"scenario must be one of {', '.join(SCENARIOS)}; got {self.scenario!r}"
             )
+        for name, value in (("n", self.n_bits), ("trials", self.trials), ("seed", self.seed)):
+            # bool is an int subclass, but True is not a bit count
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.n_bits <= 20:
             raise ValueError(f"n must lie in [1, 20], got {self.n_bits}")
         if self.trials < 1:

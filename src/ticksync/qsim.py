@@ -7,14 +7,19 @@ their inputs, leave the argument untouched, and return a fresh state.
 Measurement randomness always comes from an explicit ``numpy.random.Generator``
 passed by the caller; nothing in this module reads a global stream.
 
-Intended scale is a couple dozen qubits at most.  Everything is a plain
-dense ``complex128`` vector and no gate fusion or sparsity tricks are
-attempted.
+Intended scale is a couple dozen qubits at most, as plain dense
+``complex128`` vectors.  Small registers cost bookkeeping more than
+arithmetic, so index maps are cached per (num_qubits, register) as
+read-only arrays, Hadamards work on reshaped views, and the phase gates
+share one kernel that exponentiates per register value, not per amplitude.
+Every result still passes the constructor's checks, without a second copy.
+Repeated oracle queries are fused one layer up, in `clock.tqh_oracle`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,23 +37,28 @@ class StateVector:
     The constructor copies the amplitude buffer, checks the length, rejects
     non-finite entries, and rejects vectors whose squared norm strays more
     than NORM_TOL from 1.  Zero-qubit registers are rejected outright.
+    copy=False adopts the buffer instead of copying it when it is already
+    complex128; ops pass their freshly built results that way.  The checks
+    run either way.
     """
 
     __slots__ = ("num_qubits", "amps")
 
-    def __init__(self, num_qubits: int, amps: Iterable[complex]) -> None:
+    def __init__(self, num_qubits: int, amps: Iterable[complex], *, copy: bool = True) -> None:
         if num_qubits < 1:
             raise ValueError("state needs at least one qubit")
-        arr = np.array(amps, dtype=np.complex128)
+        arr = (np.array if copy else np.asarray)(amps, dtype=np.complex128)
         dim = 1 << num_qubits
         if arr.shape != (dim,):
             raise ValueError(
                 f"expected {dim} amplitudes for {num_qubits} qubits, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("amplitudes must be finite")
+        # One pass covers both checks: a non-finite amplitude makes the squared
+        # norm inf or nan, and neither satisfies the `<=` below.
         norm_sq = float(np.real(np.vdot(arr, arr)))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("amplitudes must be finite")
             raise ValueError(f"squared norm {norm_sq!r} is not within {NORM_TOL} of 1")
         self.num_qubits = num_qubits
         self.amps = arr
@@ -78,7 +88,7 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     arr = np.zeros(dim, dtype=np.complex128)
     arr[index] = 1.0
-    return StateVector(num_qubits, arr)
+    return StateVector(num_qubits, arr, copy=False)
 
 
 def _check_qubit(state: StateVector, qubit: int, role: str = "qubit") -> int:
@@ -101,44 +111,46 @@ def _check_register(
     return reg
 
 
+# index maps are kept per (num_qubits, register); a run touches a handful
+@lru_cache(maxsize=32)
 def _register_values(num_qubits: int, register: tuple[int, ...]) -> np.ndarray:
     """Register value carried by each basis index; register[0] is the LSB."""
     idx = np.arange(1 << num_qubits)
     k = np.zeros_like(idx)
     for pos, q in enumerate(register):
         k |= ((idx >> q) & 1) << pos
+    k.flags.writeable = False
     return k
 
 
-def _scatter_bits(values: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """Global basis indices with bit pattern `values` laid onto `qubits`."""
-    out = np.zeros_like(values)
-    for pos, q in enumerate(qubits):
-        out |= ((values >> pos) & 1) << q
-    return out
-
-
+@lru_cache(maxsize=32)
 def _gather_indices(num_qubits: int, register: tuple[int, ...]) -> np.ndarray:
     """2D view-index: row = register value, column = value of the other qubits."""
     rest = tuple(q for q in range(num_qubits) if q not in register)
-    reg_side = _scatter_bits(np.arange(1 << len(register)), register)
-    rest_side = _scatter_bits(np.arange(1 << len(rest)), rest)
-    return reg_side[:, None] | rest_side[None, :]
+    # inverse of the permutation taking each basis index to (register, rest)
+    # order; that permutation is used once, so it bypasses the cache
+    joint = np.argsort(_register_values.__wrapped__(num_qubits, rest + register))
+    joint = joint.reshape(1 << len(register), 1 << len(rest))
+    joint.flags.writeable = False
+    return joint
 
 
 def hadamard(state: StateVector, target: int) -> StateVector:
     """Apply a Hadamard to one qubit."""
     target = _check_qubit(state, target, role="target")
-    idx = np.arange(state.amps.size)
-    lo = np.nonzero(((idx >> target) & 1) == 0)[0]
-    hi = lo + (1 << target)
-    a0 = state.amps[lo]
-    a1 = state.amps[hi]
+    # axes: higher qubits, target, lower qubits
+    pairs = state.amps.reshape(-1, 2, 1 << target)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    new = np.empty_like(state.amps)
-    new[lo] = (a0 + a1) * inv_sqrt2
-    new[hi] = (a0 - a1) * inv_sqrt2
-    return StateVector(state.num_qubits, new)
+    new = np.empty_like(pairs)
+    new[:, 0] = (pairs[:, 0] + pairs[:, 1]) * inv_sqrt2
+    new[:, 1] = (pairs[:, 0] - pairs[:, 1]) * inv_sqrt2
+    return StateVector(state.num_qubits, new.reshape(-1), copy=False)
+
+
+def _diagonal(state: StateVector, qubits: tuple[int, ...], angles: np.ndarray) -> StateVector:
+    """Shared phase kernel: amplitude i gains e^{i*angles[v]}, v = value of qubits at i."""
+    phases = np.exp(1j * angles)[_register_values(state.num_qubits, qubits)]
+    return StateVector(state.num_qubits, state.amps * phases, copy=False)
 
 
 def z_phase(state: StateVector, target: int, theta: float) -> StateVector:
@@ -150,9 +162,7 @@ def z_phase(state: StateVector, target: int, theta: float) -> StateVector:
     theta = float(theta)
     if not np.isfinite(theta):
         raise ValueError("theta must be finite")
-    bit = (np.arange(state.amps.size) >> target) & 1
-    phase = np.exp(1j * theta * (1.0 - 2.0 * bit))
-    return StateVector(state.num_qubits, state.amps * phase)
+    return _diagonal(state, (target,), np.array([theta, -theta]))
 
 
 def _evaluate_phases(theta_of_k: PhaseMap, count: int) -> np.ndarray:
@@ -192,10 +202,8 @@ def indexed_phase(
     if photon in reg:
         raise ValueError(f"photon qubit {photon} overlaps the register {reg}")
     thetas = _evaluate_phases(theta_of_k, 1 << len(reg))
-    k = _register_values(state.num_qubits, reg)
-    bit = (np.arange(state.amps.size) >> photon) & 1
-    phase = np.exp(1j * thetas[k] * (1.0 - 2.0 * bit))
-    return StateVector(state.num_qubits, state.amps * phase)
+    # the photon is the top bit of the key: photon |1> reads the negated half
+    return _diagonal(state, reg + (photon,), np.concatenate([thetas, -thetas]))
 
 
 def diagonal_phase(
@@ -203,22 +211,17 @@ def diagonal_phase(
 ) -> StateVector:
     """Diagonal rotation |k> -> e^{i*theta_of_k(k)} |k> on a register."""
     reg = _check_register(state, register)
-    thetas = _evaluate_phases(theta_of_k, 1 << len(reg))
-    k = _register_values(state.num_qubits, reg)
-    return StateVector(state.num_qubits, state.amps * np.exp(1j * thetas[k]))
+    return _diagonal(state, reg, _evaluate_phases(theta_of_k, 1 << len(reg)))
 
 
 def _fourier(state: StateVector, register: Sequence[int], inverse: bool) -> StateVector:
     reg = _check_register(state, register)
     joint = _gather_indices(state.num_qubits, reg)
     block = state.amps[joint]
-    if inverse:
-        block = np.fft.fft(block, axis=0, norm="ortho")
-    else:
-        block = np.fft.ifft(block, axis=0, norm="ortho")
+    block = (np.fft.fft if inverse else np.fft.ifft)(block, axis=0, norm="ortho")
     new = np.empty_like(state.amps)
     new[joint] = block
-    return StateVector(state.num_qubits, new)
+    return StateVector(state.num_qubits, new, copy=False)
 
 
 def qft(state: StateVector, register: Sequence[int]) -> StateVector:
@@ -265,12 +268,13 @@ def measure(
     value = min(value, weights.size - 1)
 
     if len(reg) == state.num_qubits:
-        global_index = int(_scatter_bits(np.asarray([value]), reg)[0])
+        global_index = int(joint[value, 0])
         amp = state.amps[global_index]
         new = np.zeros_like(state.amps)
         new[global_index] = amp / abs(amp)
-        return MeasurementOutcome(value, StateVector(state.num_qubits, new))
+        return MeasurementOutcome(value, StateVector(state.num_qubits, new, copy=False))
 
     survivor = block[value, :]
     survivor = survivor / np.linalg.norm(survivor)
-    return MeasurementOutcome(value, StateVector(state.num_qubits - len(reg), survivor))
+    collapsed = StateVector(state.num_qubits - len(reg), survivor, copy=False)
+    return MeasurementOutcome(value, collapsed)

@@ -165,13 +165,7 @@ class TradeoffPoint:
 
 def _window_exponents(n_bits: int, m: int) -> list[int]:
     """Bit offsets of the estimation windows, most significant first."""
-    exps = []
-    e = n_bits - m
-    while e > 0:
-        exps.append(e)
-        e -= m
-    exps.append(0)
-    return exps
+    return [*range(n_bits - m, 0, -m), 0]
 
 
 def _measure_window(
@@ -194,8 +188,7 @@ def _measure_window(
     state = basis_state(m + 1, 0)
     state = qft(state, reg)
     state = hadamard(state, photon)
-    for _ in range(1 << exponent):
-        state = tqh_oracle(clock, state, reg, photon, ledger)
+    state = tqh_oracle(clock, state, reg, photon, ledger, repeats=1 << exponent)
 
     photon_out = measure(state, [photon], rng)
     state = photon_out.collapsed

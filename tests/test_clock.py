@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ticksync import (
     ClockModel,
@@ -91,6 +93,32 @@ def test_tqh_oracle_counts_one_query_at_top_rate():
     tqh_oracle(clock, state, range(3), 3, ledger)
     assert ledger.queries_Q == 1
     assert ledger.max_rate_index == 7
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    repeats=st.sampled_from([1, 2, 4, 8]),
+    width=st.integers(1, 4),
+    offset=st.floats(-50.0, 50.0, allow_nan=False),
+    seed=st.integers(0, 2**31),
+)
+def test_tqh_oracle_repeats_match_single_queries(repeats, width, offset, seed):
+    clock = ClockModel(offset, 1.0)
+    state = StateVector(width + 1, random_state(width + 1, seed))
+    fused_ledger = ResourceLedger()
+    fused = tqh_oracle(clock, state, range(width), width, fused_ledger, repeats=repeats)
+    single_ledger = ResourceLedger()
+    single = state
+    for _ in range(repeats):
+        single = tqh_oracle(clock, single, range(width), width, single_ledger)
+    assert np.max(np.abs(fused.amps - single.amps)) <= 1e-12
+    assert fused_ledger.queries_Q == single_ledger.queries_Q == repeats
+    assert fused_ledger.max_rate_index == single_ledger.max_rate_index == (1 << width) - 1
+
+
+def test_tqh_oracle_rejects_nonpositive_repeats():
+    with pytest.raises(ValueError):
+        tqh_oracle(ClockModel(0.3, 1.0), basis_state(2, 0), (0,), 1, repeats=0)
 
 
 def test_fixed_rate_query_matches_z_phase():

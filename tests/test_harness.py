@@ -43,6 +43,14 @@ def test_spec_validation():
         ExperimentSpec(scenario="reduction", t_true=0.5)
 
 
+@pytest.mark.parametrize(
+    "field,value", [("trials", 2.5), ("n_bits", True), ("seed", 1.5), ("trials", "10")]
+)
+def test_spec_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match="must be an integer"):
+        ExperimentSpec(scenario="sync", **{field: value})
+
+
 def test_sync_rows_and_columns(tmp_path):
     spec = _spec(tmp_path, t_true=0.625)
     assert run(spec) == 0

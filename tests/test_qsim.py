@@ -14,6 +14,7 @@ from ticksync import (
     qft,
     z_phase,
 )
+from ticksync import qsim
 from reference import dft_matrix, fourier_on_register, random_state
 
 ATOL = 1e-12
@@ -48,6 +49,54 @@ def test_constructor_copies_amplitudes():
     state = StateVector(1, buf)
     buf[0] = 0.5
     assert state.amps[0] == 1.0
+
+
+def test_cached_index_maps_are_read_only():
+    indexed_phase(basis_state(3, 0), (2, 0), 1, [0.1, 0.2, 0.3, 0.4])
+    measure(qft(basis_state(3, 0), (2, 0)), (2, 0), np.random.default_rng(0))
+    for index_map in (qsim._register_values(3, (2, 0, 1)), qsim._gather_indices(3, (2, 0))):
+        assert not index_map.flags.writeable
+        with pytest.raises(ValueError):
+            index_map[0] = 1
+
+
+def test_writing_returned_amps_leaves_later_ops_unchanged():
+    thetas = [0.3, 1.1, -0.4, 2.9]
+    ops = [
+        lambda s: hadamard(s, 1),
+        lambda s: z_phase(s, 2, 0.7),
+        lambda s: indexed_phase(s, (0, 1), 2, thetas),
+        lambda s: diagonal_phase(s, (2, 0), thetas),
+        lambda s: qft(s, (2, 0)),
+        lambda s: inverse_qft(s, (1, 2)),
+        lambda s: measure(s, (1,), np.random.default_rng(4)).collapsed,
+        lambda s: measure(s, (0, 1, 2), np.random.default_rng(4)).collapsed,
+    ]
+    amps = random_state(3, 17)
+    before = [op(StateVector(3, amps)).amps.copy() for op in ops]
+    for op in ops:
+        out = op(StateVector(3, amps))
+        out.amps[:] = np.nan
+    basis_state(3, 5).amps[:] = 7.0
+    after = [op(StateVector(3, amps)).amps for op in ops]
+    for old, new in zip(before, after):
+        assert np.array_equal(old, new)
+    assert np.array_equal(basis_state(3, 5).amps, np.eye(8)[5])
+
+
+@pytest.mark.parametrize("copy", [True, False])
+def test_one_pass_check_rejects_every_non_finite_or_overflowing_entry(copy):
+    inv = 1 / np.sqrt(2)
+    for bad in (np.nan, np.inf, -np.inf, 1j * np.nan, 1j * np.inf, complex(np.inf, np.nan), 1e200):
+        with pytest.raises(ValueError):
+            StateVector(2, np.array([inv, inv, bad, 0.0], dtype=complex), copy=copy)
+
+
+def test_constructor_without_copy_adopts_the_buffer():
+    buf = np.array([1.0 + 0j, 0.0])
+    assert StateVector(1, buf, copy=False).amps is buf
+    with pytest.raises(ValueError):
+        StateVector(1, np.array([1.0 + 0j, 1.0]), copy=False)
 
 
 def test_hadamard_zero_and_one():
