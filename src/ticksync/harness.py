@@ -1,11 +1,15 @@
 """Configured experiment scenarios writing delimited results.
 
-Every scenario reads an ExperimentSpec, derives all randomness from the
-spec's seed, and writes one UTF-8 CSV file: a metadata block of
-``# key = value`` lines echoing the full configuration and scenario
-constants, then a header row, then data rows.  Floats are written with
-repr so runs with identical specs produce byte-identical files; a one-line
-summary goes to stdout.
+Each setting is declared once, as an ExperimentSpec field carrying its key,
+text parser and help line; the CLI flags, config-file keys, integer checks
+and CSV metadata echo are generated from those fields.  SCENARIOS maps each
+scenario name to its function and the optional settings it accepts.
+
+Every scenario derives all randomness from the spec's seed and writes one
+UTF-8 CSV file: ``# key = value`` lines echoing the version, the settings in
+field order and scenario constants, then a header row, then data rows.
+Floats are written with repr so identical specs produce byte-identical
+files; a one-line summary goes to stdout.
 
 Scenarios:
 
@@ -24,12 +28,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
-from .clock import ClockModel, ResourceLedger, make_world
+from .clock import (
+    ClockModel, ResourceLedger, fixed_rate_query, handshake_simulate, make_world, tqh_oracle
+)
 from .protocol import (
     ProtocolConfig,
     circular_distance,
@@ -39,36 +45,55 @@ from .protocol import (
 )
 from .qsim import basis_state, hadamard
 from .seeding import child_rng
+from .tradeoff import (
+    classical_estimate, simulate_rate_k_with_unit_rate, single_rate_state, tradeoff_sweep
+)
 
-SCENARIOS = ("sync", "sweep-phi", "boost", "tradeoff", "lemma1", "reduction")
+# Widest register n' a spec may ask for.  The state adds a photon qubit, so
+# n' = 24 means 2**25 complex amplitudes: 512 MiB per state copy.
+MAX_REGISTER_QUBITS = 24
 
-# scenarios that accept a failure budget / an explicit offset
-_DELTA_SCENARIOS = ("sync", "boost")
-_T_TRUE_SCENARIOS = ("sync", "lemma1")
+# Bits that omega0 * t_true must carry below the n' decoded ones, so that
+# rounding the product moves the phase by under 2**-11 of a register bin.
+PHASE_GUARD_BITS = 10
+
+
+def _setting(key: str, parse, text: str, default=MISSING):
+    """A spec field read as ``--key`` (``_`` becomes ``-``) and as config and CSV
+    key ``key``; ``parse`` reads its text, ``text`` is its help line."""
+    if default not in (None, MISSING):
+        text += f" (default {default})"
+    return field(default=default, metadata={"key": key, "parse": parse, "help": text})
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Full configuration of one harness invocation."""
+    """Full configuration of one harness invocation, one field per setting."""
 
-    scenario: str
-    n_bits: int = 4
-    delta: float | None = None
-    omega0: float = 1.0
-    t_true: float | None = None
-    trials: int = 100
-    seed: int = 12345
-    output_path: str = "results.csv"
+    scenario: str = _setting("scenario", str, "experiment to run")
+    n_bits: int = _setting("n", int, "target precision in bits", 4)
+    delta: float | None = _setting("delta", float, "failure budget in (0, 1/2)", None)
+    omega0: float = _setting("omega0", float, "tick frequency", 1.0)
+    t_true: float | None = _setting("t_true", float, "true clock offset in seconds", None)
+    trials: int = _setting("trials", int, "repetitions", 100)
+    seed: int = _setting("seed", int, "root RNG seed", 12345)
+    output_path: str = _setting("out", str, "output CSV path", "results.csv")
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(
                 f"scenario must be one of {', '.join(SCENARIOS)}; got {self.scenario!r}"
             )
-        for name, value in (("n", self.n_bits), ("trials", self.trials), ("seed", self.seed)):
-            # bool is an int subclass, but True is not a bit count
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for f in fields(self):
+            key, value = f.metadata["key"], getattr(self, f.name)
+            # exactly int: bool is an int subclass, but True is not a bit count
+            if f.metadata["parse"] is int and type(value) is not int:
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            # optional settings (default None) apply only where SCENARIOS accepts them
+            if f.default is None and value is not None and f.name not in SCENARIOS[self.scenario][1]:
+                raise ValueError(
+                    f"{key.replace('_', '-')} is not meaningful for scenario {self.scenario!r}"
+                )
         if not 1 <= self.n_bits <= 20:
             raise ValueError(f"n must lie in [1, 20], got {self.n_bits}")
         if self.trials < 1:
@@ -79,19 +104,18 @@ class ExperimentSpec:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.t_true is not None and not math.isfinite(self.t_true):
             raise ValueError("t-true must be finite")
-        if self.delta is not None:
-            if not (0.0 < self.delta < 0.5):
-                raise ValueError(f"delta must lie in (0, 1/2), got {self.delta!r}")
-            if self.scenario not in _DELTA_SCENARIOS:
-                raise ValueError(
-                    f"delta is not meaningful for scenario {self.scenario!r}"
-                )
+        if self.delta is not None and not (0.0 < self.delta < 0.5):
+            raise ValueError(f"delta must lie in (0, 1/2), got {self.delta!r}")
         if self.scenario == "boost" and self.delta is None:
             raise ValueError("scenario boost requires delta")
-        if self.t_true is not None and self.scenario not in _T_TRUE_SCENARIOS:
-            raise ValueError(
-                f"t-true is not meaningful for scenario {self.scenario!r}"
-            )
+        n_prime = ProtocolConfig(self.n_bits, self.delta).effective_register
+        if n_prime > MAX_REGISTER_QUBITS:
+            raise ValueError(f"delta={self.delta!r} needs {n_prime} register qubits, "
+                             f"more than the {MAX_REGISTER_QUBITS} simulated")
+        guard_bits = n_prime + PHASE_GUARD_BITS
+        if self.t_true is not None and math.ulp(self.omega0 * self.t_true) > 2.0**-guard_bits:
+            raise ValueError(f"t-true={self.t_true!r} is too far from 0: omega0 * t-true "
+                             f"keeps fewer than {guard_bits} fractional bits")
 
 
 def _scenario_sync(spec: ExperimentSpec):
@@ -204,8 +228,6 @@ def _scenario_boost(spec: ExperimentSpec):
 
 
 def _scenario_lemma1(spec: ExperimentSpec):
-    from .tradeoff import classical_estimate, single_rate_state
-
     rows = []
     state_grid = 1000
     max_dev = 0.0
@@ -260,9 +282,6 @@ def _scenario_lemma1(spec: ExperimentSpec):
 
 
 def _scenario_reduction(spec: ExperimentSpec):
-    from .clock import fixed_rate_query, handshake_simulate, tqh_oracle
-    from .tradeoff import simulate_rate_k_with_unit_rate
-
     max_k = 64
     reg_bits = max_k.bit_length()  # 7 qubits cover k = 0..64
     rows = []
@@ -313,8 +332,6 @@ def _scenario_reduction(spec: ExperimentSpec):
 
 
 def _scenario_tradeoff(spec: ExperimentSpec):
-    from .tradeoff import tradeoff_sweep
-
     n = spec.n_bits
     F_values = [1 << j for j in range(n + 1)]
     points = tradeoff_sweep(n, F_values, spec.trials, child_rng(spec.seed, 5))
@@ -337,13 +354,14 @@ def _scenario_tradeoff(spec: ExperimentSpec):
     return columns, rows, extras, summary
 
 
-_SCENARIO_FUNCS = {
-    "sync": _scenario_sync,
-    "sweep-phi": _scenario_sweep_phi,
-    "boost": _scenario_boost,
-    "lemma1": _scenario_lemma1,
-    "reduction": _scenario_reduction,
-    "tradeoff": _scenario_tradeoff,
+# name -> (scenario function, the optional settings it accepts)
+SCENARIOS = {
+    "sync": (_scenario_sync, ("delta", "t_true")),
+    "sweep-phi": (_scenario_sweep_phi, ()),
+    "boost": (_scenario_boost, ("delta",)),
+    "tradeoff": (_scenario_tradeoff, ()),
+    "lemma1": (_scenario_lemma1, ("t_true",)),
+    "reduction": (_scenario_reduction, ()),
 }
 
 
@@ -361,20 +379,8 @@ def _format_cell(value) -> str:
 
 def _write_csv(spec: ExperimentSpec, extras, columns, rows) -> None:
     lines = [f"# ticksync {__version__}"]
-    config_items = (
-        ("scenario", spec.scenario),
-        ("n", spec.n_bits),
-        ("delta", spec.delta),
-        ("omega0", spec.omega0),
-        ("t_true", spec.t_true),
-        ("trials", spec.trials),
-        ("seed", spec.seed),
-        ("out", spec.output_path),
-    )
-    for key, value in config_items:
-        lines.append(f"# {key} = {_format_cell(value)}")
-    for key, value in extras:
-        lines.append(f"# {key} = {_format_cell(value)}")
+    settings = [(f.metadata["key"], getattr(spec, f.name)) for f in fields(spec)]
+    lines += [f"# {key} = {_format_cell(value)}" for key, value in [*settings, *extras]]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_format_cell(cell) for cell in row))
@@ -389,7 +395,7 @@ def run(spec: ExperimentSpec) -> int:
     Writes the CSV to spec.output_path and prints a one-line summary.  An
     unwritable output path is reported on stderr with status 1.
     """
-    columns, rows, extras, summary = _SCENARIO_FUNCS[spec.scenario](spec)
+    columns, rows, extras, summary = SCENARIOS[spec.scenario][0](spec)
     try:
         _write_csv(spec, extras, columns, rows)
     except OSError as exc:

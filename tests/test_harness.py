@@ -1,9 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from ticksync import ExperimentSpec, run, success_probability_exact
+from ticksync import ExperimentSpec, __version__, run, success_probability_exact
 from ticksync.cli import main, parse_config
 
 
@@ -235,6 +236,78 @@ def test_parse_config_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as err:
         parse_config(["--scenario", "sync", "--config", str(worse)])
     assert err.value.code == 2
+
+
+def test_register_cap_rejects_tiny_delta():
+    # delta = 1e-300 would widen the register to n' = 1000 qubits
+    with pytest.raises(ValueError, match="delta"):
+        ExperimentSpec(scenario="sync", delta=1e-300)
+    with pytest.raises(SystemExit) as err:
+        parse_config(["--scenario", "sync", "--n", "4", "--delta", "1e-300", "--trials", "1"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "scenario,t_true,accepted",
+    [("sync", "1e17", False), ("lemma1", "-1e17", False), ("sync", "0.3125", True),
+     ("sync", "1000", True), ("lemma1", "1000", True)],
+)
+def test_offset_must_keep_its_phase_bits(scenario, t_true, accepted):
+    # ulp(1e17) is 16: omega0 * t_true keeps no fractional phase bit at all
+    argv = ["--scenario", scenario, f"--t-true={t_true}"]
+    if accepted:
+        assert parse_config(argv).t_true == float(t_true)
+        return
+    with pytest.raises(SystemExit) as err:
+        parse_config(argv)
+    assert err.value.code == 2
+
+
+# (setting key, text, ExperimentSpec field, parsed value), one row per field
+_SETTINGS = [
+    ("scenario", "lemma1", "scenario", "lemma1"),
+    ("n", "6", "n_bits", 6),
+    ("delta", "0.05", "delta", 0.05),
+    ("omega0", "2.5", "omega0", 2.5),
+    ("t-true", "0.625", "t_true", 0.625),
+    ("trials", "7", "trials", 7),
+    ("seed", "99", "seed", 99),
+    ("out", "x.csv", "output_path", "x.csv"),
+]
+
+
+@pytest.mark.parametrize("key,text,field,value", _SETTINGS, ids=[row[0] for row in _SETTINGS])
+def test_flag_and_config_file_give_equal_specs(tmp_path, key, text, field, value):
+    assert sorted(row[2] for row in _SETTINGS) == sorted(f.name for f in fields(ExperimentSpec))
+    settings = {"scenario": "sync", key: text}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()), encoding="utf-8")
+    from_file = parse_config(["--config", str(cfg)])
+    from_flags = parse_config([arg for k, v in settings.items() for arg in (f"--{k}", v)])
+    assert from_file == from_flags
+    assert getattr(from_flags, field) == value
+
+
+def test_metadata_block_is_pinned(tmp_path):
+    out = tmp_path / "meta.csv"
+    spec = ExperimentSpec(
+        scenario="sync", n_bits=3, delta=0.2, omega0=2.0, t_true=0.3125, trials=2, seed=7,
+        output_path=str(out),
+    )
+    assert run(spec) == 0
+    meta = out.read_text(encoding="utf-8").split("trial,")[0]
+    assert meta == (
+        f"# ticksync {__version__}\n"
+        "# scenario = sync\n"
+        "# n = 3\n"
+        "# delta = 0.2\n"
+        "# omega0 = 2.0\n"
+        "# t_true = 0.3125\n"
+        "# trials = 2\n"
+        "# seed = 7\n"
+        f"# out = {out}\n"
+        "# n_prime = 6\n"
+    )
 
 
 def test_cli_main_end_to_end(tmp_path, capsys):
