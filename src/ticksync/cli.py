@@ -11,6 +11,8 @@ flags win over file values, which win over the field defaults.
 from __future__ import annotations
 
 import argparse
+import re
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -67,6 +69,13 @@ def parse_config(argv: list[str] | None = None) -> ExperimentSpec:
     setting is missing, unknown, or out of range.
     """
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads "-1e3" as an option (only "-1" and "-.5" pass as numbers),
+    # so a dash-led number after a flag is attached to it: "--t-true=-1e3"
+    for i in reversed(range(1, len(argv))):
+        flag, value = argv[i - 1], argv[i]
+        if flag.startswith("--") and "=" not in flag and re.match(r"-\.?\d", value):
+            argv[i - 1 : i + 1] = [f"{flag}={value}"]
     args = parser.parse_args(argv)
     names = {f.metadata["key"]: f.name for f in fields(ExperimentSpec)}
     values = _read_config_file(args.config, parser) if args.config else {}

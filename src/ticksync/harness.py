@@ -41,7 +41,7 @@ from .protocol import (
     circular_distance,
     photon_zero_probability,
     run_sync,
-    success_probability_exact,
+    success_on_grid,
 )
 from .qsim import basis_state, hadamard
 from .seeding import child_rng
@@ -56,6 +56,14 @@ MAX_REGISTER_QUBITS = 24
 # Bits that omega0 * t_true must carry below the n' decoded ones, so that
 # rounding the product moves the phase by under 2**-11 of a register bin.
 PHASE_GUARD_BITS = 10
+
+# sweep-phi and boost scan 2**(n + _GRID_BITS) phases, 16 per n-bit grid cell
+_GRID_BITS = 4
+
+# Most amplitudes a sweep-phi or boost grid scan may compute: one exact
+# evaluation on a 2**(n' + 1)-amplitude state per grid phase.  sweep-phi
+# admits n <= 9 and boost at delta = 0.05 admits n <= 7.
+MAX_GRID_SCAN_AMPLITUDES = 1 << 24
 
 
 def _setting(key: str, parse, text: str, default=MISSING):
@@ -116,6 +124,10 @@ class ExperimentSpec:
         if self.t_true is not None and math.ulp(self.omega0 * self.t_true) > 2.0**-guard_bits:
             raise ValueError(f"t-true={self.t_true!r} is too far from 0: omega0 * t-true "
                              f"keeps fewer than {guard_bits} fractional bits")
+        amplitudes = 1 << (self.n_bits + _GRID_BITS + n_prime + 1)
+        if self.scenario in ("sweep-phi", "boost") and amplitudes > MAX_GRID_SCAN_AMPLITUDES:
+            raise ValueError(f"n={self.n_bits} makes the {self.scenario} grid scan compute "
+                             f"{amplitudes} amplitudes, more than {MAX_GRID_SCAN_AMPLITUDES}")
 
 
 def _scenario_sync(spec: ExperimentSpec):
@@ -175,22 +187,15 @@ def _scenario_sync(spec: ExperimentSpec):
 
 def _scenario_sweep_phi(spec: ExperimentSpec):
     n = spec.n_bits
-    grid_points = 1 << (n + 4)
-    rows = []
-    worst = (0.0, math.inf)
-    for g in range(grid_points):
-        phi = g / grid_points
-        p = success_probability_exact(n, phi, n)
-        p_zero = photon_zero_probability(n, phi)
-        if p < worst[1]:
-            worst = (phi, p)
-        rows.append((g, float(phi), float(p), float(p_zero)))
+    grid_points = 1 << (n + _GRID_BITS)
+    scan, (worst_phi, worst_p) = success_on_grid(n, n, grid_points)
+    rows = [(g, phi, p, photon_zero_probability(n, phi)) for g, (phi, p) in enumerate(scan)]
     columns = ("grid_index", "phi", "success_prob", "p_photon0")
     extras = (("grid_points", grid_points),)
     floor = 4.0 / math.pi**2
     summary = (
-        f"sweep-phi: n={n} grid={grid_points} min_success={worst[1]:.6f} "
-        f"at phi={worst[0]:.6f} floor_4_over_pi_sq={floor:.6f}"
+        f"sweep-phi: n={n} grid={grid_points} min_success={worst_p:.6f} "
+        f"at phi={worst_phi:.6f} floor_4_over_pi_sq={floor:.6f}"
     )
     return columns, rows, extras, summary
 
@@ -199,19 +204,13 @@ def _scenario_boost(spec: ExperimentSpec):
     n = spec.n_bits
     config = ProtocolConfig(n, spec.delta)
     n_prime = config.effective_register
-    grid_points = 1 << (n + 4)
-    rows = []
-    worst = (0.0, math.inf)
-    for g in range(grid_points):
-        phi = g / grid_points
-        p = success_probability_exact(n_prime, phi, n)
-        if p < worst[1]:
-            worst = (phi, p)
-        rows.append((g, float(phi), float(p)))
+    grid_points = 1 << (n + _GRID_BITS)
+    scan, (worst_phi, worst_p) = success_on_grid(n_prime, n, grid_points)
+    rows = [(g, phi, p) for g, (phi, p) in enumerate(scan)]
     columns = ("grid_index", "phi", "success_prob")
 
     tol = 2.0 ** (-n)
-    clock = ClockModel(offset_T=worst[0] / spec.omega0, omega0=spec.omega0)
+    clock = ClockModel(offset_T=worst_phi / spec.omega0, omega0=spec.omega0)
     failures = 0
     for trial in range(spec.trials):
         stream = child_rng(spec.seed, 1, trial)
@@ -221,7 +220,7 @@ def _scenario_boost(spec: ExperimentSpec):
     extras = (("n_prime", n_prime), ("grid_points", grid_points))
     summary = (
         f"boost: n={n} delta={spec.delta} n_prime={n_prime} "
-        f"worst_exact_success={worst[1]:.6f} mc_failure_rate={failure_rate:.6f} "
+        f"worst_exact_success={worst_p:.6f} mc_failure_rate={failure_rate:.6f} "
         f"mc_trials={spec.trials}"
     )
     return columns, rows, extras, summary

@@ -5,7 +5,9 @@ register with a Fourier transform, put the photon on the equator, make the
 single coherent query, measure the photon, then invert the Fourier
 transform and read the register.  A photon outcome of 1 lands on the
 conjugate phase branch, which post-processing folds back by negating the
-register value mod 2**n'.
+register value mod 2**n'.  This module is the one place that circuit
+(`_queried_state`) and that fold (`_fold_conjugate`) are written: the exact
+analysis below and the windowed estimator in `tradeoff` reuse them.
 
 Success for a target precision of n bits means circular distance strictly
 below 2**-n between the estimate and omega0*T mod 1.  On n-bit grid phases
@@ -22,15 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clock import ClockModel, ResourceLedger, tqh_oracle
-from .qsim import (
-    StateVector,
-    basis_state,
-    hadamard,
-    indexed_phase,
-    inverse_qft,
-    measure,
-    qft,
-)
+from .qsim import StateVector, basis_state, hadamard, inverse_qft, measure, qft
 
 
 def circular_distance(a: float, b: float) -> float:
@@ -86,7 +80,7 @@ class SyncEstimate:
 
 
 def _fold_conjugate(m: int, n_prime: int) -> int:
-    """Map a conjugate-branch register value back to the primary branch."""
+    """Map conjugate-branch register values (int or array) back to the primary branch."""
     size = 1 << n_prime
     return (size - m) % size
 
@@ -95,7 +89,7 @@ def _nearest_grid_index(m: int, n_prime: int, n_bits: int) -> int:
     """Nearest n_bits-bit fraction to m/2**n_prime, ties toward the smaller.
 
     Pure integer arithmetic: shift out the d = n_prime - n_bits low bits
-    with rounding, wrapping mod 2**n_bits.
+    with rounding, wrapping mod 2**n_bits.  m may be an integer array.
     """
     d = n_prime - n_bits
     if d == 0:
@@ -104,21 +98,28 @@ def _nearest_grid_index(m: int, n_prime: int, n_bits: int) -> int:
     return ((m + half - 1) >> d) % (1 << n_bits)
 
 
+def _queried_state(
+    clock: ClockModel, n_prime: int, ledger: ResourceLedger | None = None, repeats: int = 1
+) -> StateVector:
+    """Register and photon right after the oracle: the circuit of every run.
+
+    Register qubits 0..n_prime-1 go through a Fourier transform, photon
+    qubit n_prime through a Hadamard, then `repeats` coherent queries.
+    """
+    reg = range(n_prime)
+    state = basis_state(n_prime + 1, 0)
+    state = qft(state, reg)
+    state = hadamard(state, n_prime)
+    return tqh_oracle(clock, state, reg, n_prime, ledger, repeats)
+
+
 def _final_joint_state(n_prime: int, phi: float) -> StateVector:
     """Pre-measurement joint state of register and photon for a true phase phi.
 
-    Register occupies qubits 0..n_prime-1, photon is qubit n_prime.  The
-    inverse Fourier transform commutes with the photon measurement, so this
-    single state yields exact outcome statistics for the whole run.
+    The inverse Fourier transform commutes with the photon measurement, so
+    this single state yields exact outcome statistics for the whole run.
     """
-    reg = range(n_prime)
-    photon = n_prime
-    state = basis_state(n_prime + 1, 0)
-    state = qft(state, reg)
-    state = hadamard(state, photon)
-    thetas = 2.0 * np.pi * ((np.arange(1 << n_prime) * phi) % 1.0)
-    state = indexed_phase(state, reg, photon, thetas)
-    return inverse_qft(state, reg)
+    return inverse_qft(_queried_state(ClockModel(phi, 1.0), n_prime), range(n_prime))
 
 
 def run_sync(
@@ -135,21 +136,11 @@ def run_sync(
     """
     n_prime = config.effective_register
     reg = range(n_prime)
-    photon = n_prime
-
-    state = basis_state(n_prime + 1, 0)
-    state = qft(state, reg)
-    state = hadamard(state, photon)
-    state = tqh_oracle(clock, state, reg, photon, ledger)
-
-    photon_out = measure(state, [photon], rng)
-    register_out = measure(inverse_qft(photon_out.collapsed, reg), reg, rng)
-
-    m = register_out.value
+    photon_out = measure(_queried_state(clock, n_prime, ledger), [n_prime], rng)
+    m = measure(inverse_qft(photon_out.collapsed, reg), reg, rng).value
     if photon_out.value == 1:
         m = _fold_conjugate(m, n_prime)
-    grid_index = _nearest_grid_index(m, n_prime, config.n_bits)
-    phase_hat = grid_index / float(1 << config.n_bits)
+    phase_hat = _nearest_grid_index(m, n_prime, config.n_bits) / float(1 << config.n_bits)
     return SyncEstimate(
         raw_m=m,
         photon_bit=photon_out.value,
@@ -168,9 +159,11 @@ def _validated_phase(phi: float) -> float:
 def success_probability_exact(n_prime: int, phi: float, n_bits: int) -> float:
     """Exact probability that a run estimates phi to within 2**-n_bits.
 
-    Enumerates the Born weights of the pre-measurement joint state and sums
-    those (register, photon) outcomes whose post-processed phase_hat lies at
-    circular distance strictly below 2**-n_bits from phi.  No sampling.
+    Decodes all (photon, register) outcomes of the pre-measurement joint
+    state as arrays and adds the Born weights of those whose phase_hat lies
+    at circular distance strictly below 2**-n_bits from phi, as a running
+    total in basis-index order (a pairwise sum can move it by an ulp).
+    No sampling.
     """
     if n_prime < 1:
         raise ValueError("register needs at least one qubit")
@@ -179,17 +172,13 @@ def success_probability_exact(n_prime: int, phi: float, n_bits: int) -> float:
     phi = _validated_phase(phi)
 
     probs = _final_joint_state(n_prime, phi).probabilities()
-    size = 1 << n_prime
-    tol = 2.0 ** (-n_bits)
-    total = 0.0
-    for photon_bit in (0, 1):
-        for j in range(size):
-            m = _fold_conjugate(j, n_prime) if photon_bit else j
-            grid_index = _nearest_grid_index(m, n_prime, n_bits)
-            phase_hat = grid_index / float(1 << n_bits)
-            if circular_distance(phase_hat, phi) < tol:
-                total += float(probs[j + (photon_bit << n_prime)])
-    return total
+    j = np.arange(1 << n_prime)
+    # basis index j + (photon << n'): photon 0 reads j, photon 1 its fold
+    m = np.concatenate([j, _fold_conjugate(j, n_prime)])
+    phase_hat = _nearest_grid_index(m, n_prime, n_bits) / float(1 << n_bits)
+    d = np.abs(phase_hat - phi) % 1.0  # circular_distance, elementwise
+    hit = np.minimum(d, 1.0 - d) < 2.0 ** (-n_bits)
+    return float(np.cumsum(np.where(hit, probs, 0.0))[-1])
 
 
 def photon_zero_probability(n_prime: int, phi: float) -> float:
@@ -201,17 +190,21 @@ def photon_zero_probability(n_prime: int, phi: float) -> float:
     return float(np.sum(probs[: 1 << n_prime]))
 
 
+def success_on_grid(
+    n_prime: int, n_bits: int, grid_points: int
+) -> tuple[list[tuple[float, float]], tuple[float, float]]:
+    """(phi, exact success probability) at every phi = g / grid_points, in
+    grid order, and the worst pair; the first minimum wins ties."""
+    if grid_points < 1:
+        raise ValueError("grid needs at least one point")
+    phis = [g / grid_points for g in range(grid_points)]
+    scan = [(phi, success_probability_exact(n_prime, phi, n_bits)) for phi in phis]
+    return scan, min(scan, key=lambda point: point[1])
+
+
 def min_success_on_grid(
     n_prime: int, n_bits: int, grid_points: int
 ) -> tuple[float, float]:
-    """Scan phi over a uniform grid and return (worst phi, worst probability)."""
-    if grid_points < 1:
-        raise ValueError("grid needs at least one point")
-    worst_phi = 0.0
-    worst_prob = math.inf
-    for g in range(grid_points):
-        phi = g / grid_points
-        p = success_probability_exact(n_prime, phi, n_bits)
-        if p < worst_prob:
-            worst_phi, worst_prob = phi, p
-    return worst_phi, worst_prob
+    """Scan phi over a uniform grid and return (worst phi, worst probability),
+    the first minimum on ties."""
+    return success_on_grid(n_prime, n_bits, grid_points)[1]

@@ -7,14 +7,17 @@ range are synthesized by repeating capped queries, so the query count Q
 grows as F falls.  Three regimes are covered:
 
 * F = 2**n: the full protocol, Q = 1.
-* 2 <= F = 2**m < 2**n: windowed phase estimation.  Each window estimates m
-  bits using 2**e repeated queries (e the window's bit offset), with the
-  already-known low bits cancelled by an in-circuit diagonal correction.
-  Windows are re-run in passes with a per-window majority vote when one
-  pass is not reliable enough.
+* 2 <= F = 2**m < 2**n: windowed phase estimation.  Each window runs the
+  protocol's circuit on m qubits with 2**e repeated queries (e the window's
+  bit offset), with the already-known low bits cancelled by an in-circuit
+  diagonal correction.  Windows are re-run in passes with a per-window
+  majority vote when one pass is not reliable enough.
 * F = 1: no usable quantum phase, only the fixed unit-rate observable.
   A two-quadrature sampling estimator inverts the outcome frequencies;
   the sample count doubles until the target precision is reliably met.
+
+Both escalations share one scoring loop, `_scored_point`, which grades each
+effort by its worst per-phase hit rate over the n-bit phase grid.
 
 Query accounting is uniform: every oracle invocation costs 1 regardless of
 how many rate branches it carries, and a query made in superposition is
@@ -27,12 +30,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .clock import ClockModel, ResourceLedger, fixed_rate_query, tqh_oracle
-from .protocol import circular_distance
+from .clock import ClockModel, ResourceLedger, fixed_rate_query
+from .protocol import _fold_conjugate, _queried_state, circular_distance
 from .qsim import (
     StateVector,
     basis_state,
@@ -40,7 +43,6 @@ from .qsim import (
     hadamard,
     inverse_qft,
     measure,
-    qft,
     z_phase,
 )
 
@@ -179,29 +181,20 @@ def _measure_window(
 ) -> int:
     """Estimate one m-bit window of the phase at bit offset `exponent`.
 
-    Runs phase estimation on an m-qubit register driven by 2**exponent
+    Runs the protocol's circuit on an m-qubit register driven by 2**exponent
     repeated queries, then cancels the already-known tail bits with a
     diagonal rotation whose sign follows the photon branch.
     """
     reg = range(m)
-    photon = m
-    state = basis_state(m + 1, 0)
-    state = qft(state, reg)
-    state = hadamard(state, photon)
-    state = tqh_oracle(clock, state, reg, photon, ledger, repeats=1 << exponent)
-
-    photon_out = measure(state, [photon], rng)
+    photon_out = measure(_queried_state(clock, m, ledger, repeats=1 << exponent), [m], rng)
     state = photon_out.collapsed
     if tail_width > 0 and tail_value > 0:
         tail_fraction = tail_value / float(1 << (tail_width + m))
         sign = -1.0 if photon_out.value == 0 else 1.0
         turns = (np.arange(1 << m) * tail_fraction) % 1.0
         state = diagonal_phase(state, reg, 2.0 * np.pi * sign * turns)
-    state = inverse_qft(state, reg)
-    window = measure(state, reg, rng).value
-    if photon_out.value == 1:
-        window = ((1 << m) - window) % (1 << m)
-    return window
+    window = measure(inverse_qft(state, reg), reg, rng).value
+    return _fold_conjugate(window, m) if photon_out.value == 1 else window
 
 
 def _assemble(
@@ -253,67 +246,32 @@ def _windowed_estimate(
     return value / float(1 << n_bits), ledger
 
 
-def _windowed_point(
-    n_bits: int,
-    m: int,
-    trials: int,
-    rng: np.random.Generator,
-    success_threshold: float,
-    max_passes: int,
+def _scored_point(
+    F: int, n_bits: int, grid_size: int, efforts: Sequence[int],
+    estimate: Callable[[int, float, np.random.Generator], tuple[float, ResourceLedger]],
+    trials: int, rng: np.random.Generator, success_threshold: float,
 ) -> TradeoffPoint:
-    exponents = _window_exponents(n_bits, m)
+    """Escalate effort until the worst per-phase hit rate meets the threshold.
+
+    At each effort, `estimate(effort, phi, stream)` runs `trials` times on
+    each of the first grid_size n_bits-bit phases, every run on its own
+    spawned stream; Q is the query count of the last run's ledger.
+    """
     tol = 2.0 ** (-n_bits)
-    grid = [g / float(1 << n_bits) for g in range(1 << n_bits)]
-    queries = 0
-    worst = 0.0
-    for passes in range(1, max_passes + 1, 2):
+    worst, queries = 0.0, 0
+    for effort in efforts:
         worst = 1.0
-        queries = 0
-        for phi in grid:
+        for g in range(grid_size):
+            phi = g / float(1 << n_bits)
             hits = 0
             for _ in range(trials):
-                stream = rng.spawn(1)[0]
-                estimate, ledger = _windowed_estimate(
-                    phi, n_bits, m, exponents, passes, stream
-                )
+                phase, ledger = estimate(effort, phi, rng.spawn(1)[0])
                 queries = ledger.queries_Q
-                hits += circular_distance(estimate, phi) < tol
+                hits += circular_distance(phase, phi) < tol
             worst = min(worst, hits / trials)
         if worst >= success_threshold:
             break
-    return TradeoffPoint(
-        F=1 << m, Q=queries, n_bits_achieved=n_bits, success_rate=worst
-    )
-
-
-def _sampling_point(
-    n_bits: int,
-    trials: int,
-    rng: np.random.Generator,
-    success_threshold: float,
-    max_samples: int,
-) -> TradeoffPoint:
-    # estimator domain is [0, 1/2), so only that half of the grid is probed
-    tol = 2.0 ** (-n_bits)
-    grid = [g / float(1 << n_bits) for g in range(max(1, 1 << (n_bits - 1)))]
-    samples = 16
-    queries = 0
-    worst = 0.0
-    while True:
-        worst = 1.0
-        for phi in grid:
-            clock = ClockModel(offset_T=phi, omega0=1.0)
-            hits = 0
-            for _ in range(trials):
-                stream = rng.spawn(1)[0]
-                t_hat, ledger = classical_estimate(clock, samples, stream)
-                queries = ledger.queries_Q
-                hits += circular_distance(t_hat, phi) < tol
-            worst = min(worst, hits / trials)
-        if worst >= success_threshold or samples >= max_samples:
-            break
-        samples *= 2
-    return TradeoffPoint(F=1, Q=queries, n_bits_achieved=n_bits, success_rate=worst)
+    return TradeoffPoint(F=F, Q=queries, n_bits_achieved=n_bits, success_rate=worst)
 
 
 def tradeoff_sweep(
@@ -351,11 +309,23 @@ def tradeoff_sweep(
             )
         m = F.bit_length() - 1
         if m == 0:
-            points.append(
-                _sampling_point(n_target, trials, rng, success_threshold, max_samples)
+            samples = [16]  # doubled up to the first count >= max_samples
+            while samples[-1] < max_samples:
+                samples.append(2 * samples[-1])
+            # the estimator reads phases mod 1/2, so only that half of the grid is scored
+            point = _scored_point(
+                F, n_target, 1 << (n_target - 1), samples,
+                lambda s, phi, stream: classical_estimate(ClockModel(phi, 1.0), s, stream),
+                trials, rng, success_threshold,
             )
         else:
-            points.append(
-                _windowed_point(n_target, m, trials, rng, success_threshold, max_passes)
+            exponents = _window_exponents(n_target, m)
+            point = _scored_point(
+                F, n_target, 1 << n_target, range(1, max_passes + 1, 2),
+                lambda passes, phi, stream: _windowed_estimate(
+                    phi, n_target, m, exponents, passes, stream
+                ),
+                trials, rng, success_threshold,
             )
+        points.append(point)
     return points

@@ -247,6 +247,30 @@ def test_register_cap_rejects_tiny_delta():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["-1e3", "-1E+3", "-1000", "-.1e4"])
+def test_negative_offset_in_exponent_form_is_a_value(value):
+    # argparse alone takes "-1e3" for an option and leaves --t-true empty
+    assert parse_config(["--scenario", "sync", "--t-true", value]).t_true == -1000.0
+    with pytest.raises(SystemExit) as err:
+        parse_config(["--scenario", "sync", "--t-true", "--n", "3"])
+    assert err.value.code == 2
+
+
+def test_grid_scan_cap_refuses_scans_that_cannot_finish(capsys):
+    # sweep-phi at n = 20: 2**24 exact evaluations on 2**21-amplitude states
+    with pytest.raises(ValueError, match="n=20"):
+        ExperimentSpec(scenario="sweep-phi", n_bits=20)
+    for argv in (["--scenario", "sweep-phi", "--n", "10"],
+                 ["--scenario", "boost", "--n", "8", "--delta", "0.05"]):
+        with pytest.raises(SystemExit) as err:
+            parse_config(argv)
+        assert err.value.code == 2
+        assert "n=" in capsys.readouterr().err
+    # the largest scans the tests, the README and the benchmark run
+    ExperimentSpec(scenario="sweep-phi", n_bits=7)
+    ExperimentSpec(scenario="boost", n_bits=5, delta=0.05)
+
+
 @pytest.mark.parametrize(
     "scenario,t_true,accepted",
     [("sync", "1e17", False), ("lemma1", "-1e17", False), ("sync", "0.3125", True),

@@ -20,9 +20,10 @@ from ticksync import (
     run_sync,
     success_probability_exact,
 )
-from ticksync.protocol import _nearest_grid_index
+from ticksync.protocol import _final_joint_state, _nearest_grid_index
 from ticksync.seeding import child_rng
 from reference import (
+    circular_distance as reference_distance,
     closed_form_success,
     four_sigma,
     fold_weight,
@@ -70,6 +71,10 @@ def test_nearest_grid_index_matches_exact_rationals():
                     n_bits,
                     m,
                 )
+    # integer arrays decode elementwise, as the exact scoring relies on
+    m = np.arange(1 << 8)
+    expected = [nearest_fraction_index(v, 8, 5) for v in range(1 << 8)]
+    assert _nearest_grid_index(m, 8, 5).tolist() == expected
 
 
 def test_run_sync_exact_on_grid_small():
@@ -111,7 +116,7 @@ def test_run_sync_rounds_boosted_register_to_target_grid():
 def test_success_probability_matches_closed_form():
     rng = np.random.default_rng(8)
     cases = []
-    for n_prime in range(1, 9):
+    for n_prime in (*range(1, 9), 10, 12):
         for n_bits in (1, max(1, n_prime - 2), n_prime):
             cases.append((n_prime, n_bits, float(rng.random())))
             cases.append((n_prime, n_bits, 3 / (1 << n_prime) % 1.0))
@@ -119,6 +124,21 @@ def test_success_probability_matches_closed_form():
         lib = success_probability_exact(n_prime, phi, n_bits)
         ref = closed_form_success(n_prime, phi, n_bits)
         assert np.isclose(lib, ref, atol=1e-10), (n_prime, n_bits, phi)
+
+
+def test_success_probability_adds_weights_in_outcome_order():
+    # equal, bit for bit, to a loop over outcomes in basis order; numpy's
+    # pairwise sum differs by an ulp on both cases and can flip which grid
+    # phase a scan reports as the worst
+    for n_prime, n_bits, phi in ((8, 5, 0.77), (8, 6, 0.3)):
+        size = 1 << n_prime
+        total = 0.0
+        for index, weight in enumerate(_final_joint_state(n_prime, phi).probabilities()):
+            m = index if index < size else (2 * size - index) % size
+            grid = nearest_fraction_index(m, n_prime, n_bits)
+            if reference_distance(grid / (1 << n_bits), phi) < 2.0 ** -n_bits:
+                total += float(weight)
+        assert success_probability_exact(n_prime, phi, n_bits) == total
 
 
 def test_success_probability_exact_on_grid():

@@ -196,10 +196,14 @@ def test_tradeoff_sweep_validation():
 
 
 def test_windowed_estimates_recover_grid_phases():
-    # every 4-bit grid phase, window width 2, single pass
-    points = tradeoff_sweep(4, [4], trials=2, rng=child_rng(44))
-    assert points[0].success_rate == 1.0
-    assert points[0].Q == 5  # 4 + 1 repeats over windows at offsets 2 and 0
+    # every n-bit grid phase, window width 2, single pass; Q sums 2**offset
+    # repeats over the windows.  n = 5 has windows at offsets 3, 1 and 0: the
+    # lower two cancel known tail bits, and the last overlaps the one before.
+    for n_target, offsets in ((4, (2, 0)), (5, (3, 1, 0))):
+        assert _window_exponents(n_target, 2) == list(offsets)
+        points = tradeoff_sweep(n_target, [4], trials=2, rng=child_rng(44))
+        assert points[0].success_rate == 1.0
+        assert points[0].Q == sum(1 << e for e in offsets)  # 5, then 11
 
 
 def test_windowed_estimate_off_grid_phase_useful():
