@@ -32,6 +32,7 @@ from .protocol import (
     photon_zero_probability,
     run_sync,
     success_probability_exact,
+    within_precision,
 )
 from .tradeoff import (
     LowerBoundParams,
@@ -43,7 +44,7 @@ from .tradeoff import (
     tradeoff_sweep,
 )
 from .harness import SCENARIOS, ExperimentSpec, run
-from .seeding import child_rng, root_rng
+from .seeding import child_rng
 
 __all__ = [
     "MeasurementOutcome",
@@ -71,6 +72,7 @@ __all__ = [
     "photon_zero_probability",
     "run_sync",
     "success_probability_exact",
+    "within_precision",
     "LowerBoundParams",
     "TradeoffPoint",
     "classical_estimate",
@@ -82,6 +84,5 @@ __all__ = [
     "ExperimentSpec",
     "run",
     "child_rng",
-    "root_rng",
     "__version__",
 ]

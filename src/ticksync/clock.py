@@ -24,8 +24,11 @@ import numpy as np
 
 from .qsim import StateVector, indexed_phase, z_phase
 
-# Slack allowed between t_B - t_A and t_tr + offset_T in a TransitRecord.
+# Slack allowed between t_B - t_A and t_tr + offset_T in a TransitRecord:
+# TRANSIT_CONSISTENCY_TOL seconds plus TRANSIT_CONSISTENCY_ULPS float steps
+# of the largest of the four times, since rounding them moves the gap by ulps.
 TRANSIT_CONSISTENCY_TOL = 1e-9
+TRANSIT_CONSISTENCY_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,8 @@ def handshake_simulate(
     and the result equals the black-box tqh_oracle at fixed k.
 
     Raises ValueError if the record disagrees with the clock offset by more
-    than TRANSIT_CONSISTENCY_TOL seconds, or if the photon is not one qubit.
+    than TRANSIT_CONSISTENCY_TOL seconds plus TRANSIT_CONSISTENCY_ULPS ulps of
+    the largest time involved, or if the photon is not one qubit.
     """
     if photon_state.num_qubits != 1:
         raise ValueError("handshake photon must be a single qubit")
@@ -162,7 +166,8 @@ def handshake_simulate(
     if k < 0:
         raise ValueError("tick rate index must be nonnegative")
     gap = (transit.t_B - transit.t_A) - (transit.t_tr + clock.offset_T)
-    if abs(gap) > TRANSIT_CONSISTENCY_TOL:
+    scale = max(abs(transit.t_A), abs(transit.t_B), transit.t_tr, abs(clock.offset_T))
+    if abs(gap) > TRANSIT_CONSISTENCY_TOL + TRANSIT_CONSISTENCY_ULPS * math.ulp(scale):
         raise ValueError(
             f"transit record inconsistent with clock offset by {gap!r} s"
         )

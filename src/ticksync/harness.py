@@ -15,8 +15,8 @@ Scenarios:
 
 * sync: repeated protocol runs against a hidden offset, one row per trial.
 * sweep-phi: exact success probability and photon fairness over a phase grid.
-* boost: widened-register success floor scan plus a Monte Carlo check at
-  the worst grid phase.
+* boost: widened-register success floor scan, on phases half a register bin
+  off the register grid, plus a Monte Carlo check at the worst of them.
 * lemma1: unit-rate fringe probabilities over a phase grid, plus sampling
   error of the classical estimator as the shot count grows.
 * reduction: handshake-vs-oracle and repeated-unit-rate-vs-direct
@@ -37,16 +37,13 @@ from .clock import (
     ClockModel, ResourceLedger, fixed_rate_query, handshake_simulate, make_world, tqh_oracle
 )
 from .protocol import (
-    ProtocolConfig,
-    circular_distance,
-    photon_zero_probability,
-    run_sync,
-    success_on_grid,
+    ProtocolConfig, photon_zero_probability, run_sync, success_probability_exact, within_precision
 )
 from .qsim import basis_state, hadamard
 from .seeding import child_rng
 from .tradeoff import (
-    classical_estimate, simulate_rate_k_with_unit_rate, single_rate_state, tradeoff_sweep
+    SUCCESS_THRESHOLD, classical_estimate, simulate_rate_k_with_unit_rate, single_rate_state,
+    tradeoff_sweep,
 )
 
 # Widest register n' a spec may ask for.  The state adds a photon qubit, so
@@ -133,7 +130,6 @@ class ExperimentSpec:
 def _scenario_sync(spec: ExperimentSpec):
     config = ProtocolConfig(spec.n_bits, spec.delta)
     n_prime = config.effective_register
-    tol = 2.0 ** (-spec.n_bits)
     rows = []
     successes = 0
     for trial in range(spec.trials):
@@ -146,7 +142,7 @@ def _scenario_sync(spec: ExperimentSpec):
         ledger = ResourceLedger()
         estimate = run_sync(config, clock, stream, ledger)
         phi = clock.phi_star
-        success = int(circular_distance(estimate.phase_hat, phi) < tol)
+        success = int(within_precision(estimate.phase_hat, phi, spec.n_bits))
         successes += success
         rows.append(
             (
@@ -188,8 +184,12 @@ def _scenario_sync(spec: ExperimentSpec):
 def _scenario_sweep_phi(spec: ExperimentSpec):
     n = spec.n_bits
     grid_points = 1 << (n + _GRID_BITS)
-    scan, (worst_phi, worst_p) = success_on_grid(n, n, grid_points)
-    rows = [(g, phi, p, photon_zero_probability(n, phi)) for g, (phi, p) in enumerate(scan)]
+    # called back to back, the two exact quantities of a phase share its state
+    rows = [
+        (g, phi, success_probability_exact(n, phi, n), photon_zero_probability(n, phi))
+        for g, phi in enumerate(g / grid_points for g in range(grid_points))
+    ]
+    _, worst_phi, worst_p, _ = min(rows, key=lambda row: row[2])
     columns = ("grid_index", "phi", "success_prob", "p_photon0")
     extras = (("grid_points", grid_points),)
     floor = 4.0 / math.pi**2
@@ -205,17 +205,21 @@ def _scenario_boost(spec: ExperimentSpec):
     config = ProtocolConfig(n, spec.delta)
     n_prime = config.effective_register
     grid_points = 1 << (n + _GRID_BITS)
-    scan, (worst_phi, worst_p) = success_on_grid(n_prime, n, grid_points)
-    rows = [(g, phi, p) for g, (phi, p) in enumerate(scan)]
+    # the estimate is exact on the n'-bit register grid: scan half a bin off it
+    half_bin = 2.0 ** -(n_prime + 1)
+    rows = [
+        (g, phi, success_probability_exact(n_prime, phi, n))
+        for g, phi in enumerate((g / grid_points + half_bin) % 1.0 for g in range(grid_points))
+    ]
+    _, worst_phi, worst_p = min(rows, key=lambda row: row[2])
     columns = ("grid_index", "phi", "success_prob")
 
-    tol = 2.0 ** (-n)
     clock = ClockModel(offset_T=worst_phi / spec.omega0, omega0=spec.omega0)
     failures = 0
     for trial in range(spec.trials):
         stream = child_rng(spec.seed, 1, trial)
         estimate = run_sync(config, clock, stream)
-        failures += circular_distance(estimate.phase_hat, clock.phi_star) >= tol
+        failures += not within_precision(estimate.phase_hat, clock.phi_star, n)
     failure_rate = failures / spec.trials
     extras = (("n_prime", n_prime), ("grid_points", grid_points))
     summary = (
@@ -345,7 +349,7 @@ def _scenario_tradeoff(spec: ExperimentSpec):
             (point.F, point.Q, point.n_bits_achieved, float(point.success_rate), fq)
         )
     columns = ("F", "Q", "n_bits_achieved", "success_rate", "FQ_product")
-    extras = (("success_threshold", 0.9), ("trials_per_phase", spec.trials))
+    extras = (("success_threshold", SUCCESS_THRESHOLD), ("trials_per_phase", spec.trials))
     summary = (
         f"tradeoff: n={n} min_FQ={min_fq} implied_c={implied_c:.2f} "
         f"(every F*Q >= 2**(n - c))"

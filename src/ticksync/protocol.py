@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,10 +28,17 @@ from .clock import ClockModel, ResourceLedger, tqh_oracle
 from .qsim import StateVector, basis_state, hadamard, inverse_qft, measure, qft
 
 
-def circular_distance(a: float, b: float) -> float:
-    """Distance between two phase fractions on the unit circle, in [0, 1/2]."""
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
+def circular_distance(a, b):
+    """Distance between phase fractions on the unit circle, in [0, 1/2];
+    elementwise on arrays."""
+    d = np.abs(a - b) % 1.0
+    return np.minimum(d, 1.0 - d)
+
+
+def within_precision(phase_hat, phi, n_bits: int):
+    """The success rule: phase_hat lies at circular distance strictly below
+    2**-n_bits from phi.  Elementwise on arrays."""
+    return circular_distance(phase_hat, phi) < 2.0 ** (-n_bits)
 
 
 def boosted_register_size(n_bits: int, delta: float) -> int:
@@ -122,6 +130,16 @@ def _final_joint_state(n_prime: int, phi: float) -> StateVector:
     return inverse_qft(_queried_state(ClockModel(phi, 1.0), n_prime), range(n_prime))
 
 
+@lru_cache(maxsize=1)
+def _outcome_probabilities(n_prime: int, phi: float) -> np.ndarray:
+    """Read-only Born weights of `_final_joint_state`, kept for the last
+    (n_prime, phi) so that its exact success and photon-zero probabilities
+    share one state."""
+    probs = _final_joint_state(n_prime, phi).probabilities()
+    probs.flags.writeable = False
+    return probs
+
+
 def run_sync(
     config: ProtocolConfig,
     clock: ClockModel,
@@ -171,13 +189,12 @@ def success_probability_exact(n_prime: int, phi: float, n_bits: int) -> float:
         raise ValueError(f"n_bits must lie in [1, {n_prime}], got {n_bits}")
     phi = _validated_phase(phi)
 
-    probs = _final_joint_state(n_prime, phi).probabilities()
+    probs = _outcome_probabilities(n_prime, phi)
     j = np.arange(1 << n_prime)
     # basis index j + (photon << n'): photon 0 reads j, photon 1 its fold
     m = np.concatenate([j, _fold_conjugate(j, n_prime)])
     phase_hat = _nearest_grid_index(m, n_prime, n_bits) / float(1 << n_bits)
-    d = np.abs(phase_hat - phi) % 1.0  # circular_distance, elementwise
-    hit = np.minimum(d, 1.0 - d) < 2.0 ** (-n_bits)
+    hit = within_precision(phase_hat, phi, n_bits)
     return float(np.cumsum(np.where(hit, probs, 0.0))[-1])
 
 
@@ -185,26 +202,15 @@ def photon_zero_probability(n_prime: int, phi: float) -> float:
     """Exact probability of reading photon_bit = 0; 1/2 for every phi."""
     if n_prime < 1:
         raise ValueError("register needs at least one qubit")
-    phi = _validated_phase(phi)
-    probs = _final_joint_state(n_prime, phi).probabilities()
+    probs = _outcome_probabilities(n_prime, _validated_phase(phi))
     return float(np.sum(probs[: 1 << n_prime]))
-
-
-def success_on_grid(
-    n_prime: int, n_bits: int, grid_points: int
-) -> tuple[list[tuple[float, float]], tuple[float, float]]:
-    """(phi, exact success probability) at every phi = g / grid_points, in
-    grid order, and the worst pair; the first minimum wins ties."""
-    if grid_points < 1:
-        raise ValueError("grid needs at least one point")
-    phis = [g / grid_points for g in range(grid_points)]
-    scan = [(phi, success_probability_exact(n_prime, phi, n_bits)) for phi in phis]
-    return scan, min(scan, key=lambda point: point[1])
 
 
 def min_success_on_grid(
     n_prime: int, n_bits: int, grid_points: int
 ) -> tuple[float, float]:
-    """Scan phi over a uniform grid and return (worst phi, worst probability),
+    """Scan phi = g / grid_points and return (worst phi, worst probability),
     the first minimum on ties."""
-    return success_on_grid(n_prime, n_bits, grid_points)[1]
+    phis = [g / grid_points for g in range(grid_points)]
+    scan = [(phi, success_probability_exact(n_prime, phi, n_bits)) for phi in phis]
+    return min(scan, key=lambda point: point[1])

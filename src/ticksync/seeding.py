@@ -15,7 +15,3 @@ def child_rng(seed: int, *path: int) -> np.random.Generator:
     """Independent generator for (seed, path); same arguments, same stream."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 
-
-def root_rng(seed: int) -> np.random.Generator:
-    """Top-level generator for a root seed."""
-    return np.random.default_rng(np.random.SeedSequence(seed))

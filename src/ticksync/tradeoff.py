@@ -9,15 +9,19 @@ grows as F falls.  Three regimes are covered:
 * F = 2**n: the full protocol, Q = 1.
 * 2 <= F = 2**m < 2**n: windowed phase estimation.  Each window runs the
   protocol's circuit on m qubits with 2**e repeated queries (e the window's
-  bit offset), with the already-known low bits cancelled by an in-circuit
-  diagonal correction.  Windows are re-run in passes with a per-window
-  majority vote when one pass is not reliable enough.
+  bit offset).  The first window reads the lowest m bits; each later one
+  reads the next bits up, with the already-known low bits cancelled by an
+  in-circuit diagonal correction, and the windows merge as plain integers.
+  Windows are re-run in passes (1, 3, ..., 15) with a per-window majority
+  vote when one pass is not reliable enough.
 * F = 1: no usable quantum phase, only the fixed unit-rate observable.
   A two-quadrature sampling estimator inverts the outcome frequencies;
-  the sample count doubles until the target precision is reliably met.
+  the sample count doubles from 16 to 2**15 until the target precision is
+  reliably met.
 
 Both escalations share one scoring loop, `_scored_point`, which grades each
-effort by its worst per-phase hit rate over the n-bit phase grid.
+effort by its worst per-phase hit rate over the n-bit phase grid against
+the module constant SUCCESS_THRESHOLD = 0.9.
 
 Query accounting is uniform: every oracle invocation costs 1 regardless of
 how many rate branches it carries, and a query made in superposition is
@@ -35,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .clock import ClockModel, ResourceLedger, fixed_rate_query
-from .protocol import _fold_conjugate, _queried_state, circular_distance
+from .protocol import _fold_conjugate, _queried_state, within_precision
 from .qsim import (
     StateVector,
     basis_state,
@@ -45,6 +49,12 @@ from .qsim import (
     measure,
     z_phase,
 )
+
+# the worst per-phase hit rate a point must reach, and the efforts tried in
+# turn to reach it: majority passes for F >= 2, sample counts for F = 1
+SUCCESS_THRESHOLD = 0.9
+PASS_COUNTS = range(1, 16, 2)
+SAMPLE_COUNTS = [16 << j for j in range(12)]  # 16, 32, ..., 2**15
 
 
 @dataclass(frozen=True)
@@ -166,7 +176,8 @@ class TradeoffPoint:
 
 
 def _window_exponents(n_bits: int, m: int) -> list[int]:
-    """Bit offsets of the estimation windows, most significant first."""
+    """Bit offsets of the estimation windows, largest offset first; the first
+    window holds the lowest bits."""
     return [*range(n_bits - m, 0, -m), 0]
 
 
@@ -174,46 +185,26 @@ def _measure_window(
     clock: ClockModel,
     m: int,
     exponent: int,
-    tail_value: int,
-    tail_width: int,
+    known_turns: float,
     rng: np.random.Generator,
     ledger: ResourceLedger,
 ) -> int:
     """Estimate one m-bit window of the phase at bit offset `exponent`.
 
     Runs the protocol's circuit on an m-qubit register driven by 2**exponent
-    repeated queries, then cancels the already-known tail bits with a
-    diagonal rotation whose sign follows the photon branch.
+    repeated queries, then cancels known_turns, the part of 2**exponent * phi
+    that the lower windows already read, with a diagonal rotation whose sign
+    follows the photon branch.
     """
     reg = range(m)
     photon_out = measure(_queried_state(clock, m, ledger, repeats=1 << exponent), [m], rng)
     state = photon_out.collapsed
-    if tail_width > 0 and tail_value > 0:
-        tail_fraction = tail_value / float(1 << (tail_width + m))
+    if known_turns > 0:
         sign = -1.0 if photon_out.value == 0 else 1.0
-        turns = (np.arange(1 << m) * tail_fraction) % 1.0
+        turns = (np.arange(1 << m) * known_turns) % 1.0
         state = diagonal_phase(state, reg, 2.0 * np.pi * sign * turns)
     window = measure(inverse_qft(state, reg), reg, rng).value
     return _fold_conjugate(window, m) if photon_out.value == 1 else window
-
-
-def _assemble(
-    n_bits: int, m: int, exponents: Sequence[int], windows: Sequence[int]
-) -> tuple[int, int]:
-    """Merge window values into an n_bits-bit phase integer.
-
-    Earlier (more significant) windows win where windows overlap; returns
-    (value, known_mask) so callers can extract tails mid-pass.
-    """
-    value = 0
-    known = 0
-    for exponent, window in zip(exponents, windows):
-        tail_width = n_bits - exponent - m
-        window_mask = ((1 << m) - 1) << tail_width
-        write = window_mask & ~known
-        value = (value & ~write) | ((window << tail_width) & write)
-        known |= window_mask
-    return value, known
 
 
 def _windowed_estimate(
@@ -224,40 +215,45 @@ def _windowed_estimate(
     passes: int,
     rng: np.random.Generator,
 ) -> tuple[float, ResourceLedger]:
-    """Full multi-window estimate of phi with per-window majority voting."""
+    """Full multi-window estimate of phi with per-window majority voting.
+
+    The window at offset e reads bits shift..shift+m-1 of the n_bits-bit
+    phase integer, shift = n_bits - e - m.  Windows are merged from bit 0
+    upward into a running value whose low `known` bits are set; where two
+    windows overlap, the earlier read wins.
+    """
     clock = ClockModel(offset_T=phi, omega0=1.0)
     ledger = ResourceLedger()
     votes: list[Counter] = [Counter() for _ in exponents]
     for _ in range(passes):
-        seen: list[int] = []
+        value = known = 0
         for stage, exponent in enumerate(exponents):
-            tail_width = n_bits - exponent - m
-            partial, _ = _assemble(n_bits, m, exponents[:stage], seen)
-            tail_value = partial & ((1 << tail_width) - 1) if tail_width > 0 else 0
-            window = _measure_window(
-                clock, m, exponent, tail_value, tail_width, rng, ledger
-            )
+            shift = n_bits - exponent - m
+            known_turns = (value & ((1 << shift) - 1)) / float(1 << (shift + m))
+            window = _measure_window(clock, m, exponent, known_turns, rng, ledger)
             votes[stage][window] += 1
-            seen.append(window)
-    elected = [
-        max(counter.items(), key=lambda kv: (kv[1], -kv[0]))[0] for counter in votes
-    ]
-    value, _ = _assemble(n_bits, m, exponents, elected)
+            value |= (window << shift) >> known << known
+            known = shift + m
+    value = known = 0
+    for exponent, counter in zip(exponents, votes):
+        window = max(counter.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        shift = n_bits - exponent - m
+        value |= (window << shift) >> known << known
+        known = shift + m
     return value / float(1 << n_bits), ledger
 
 
 def _scored_point(
     F: int, n_bits: int, grid_size: int, efforts: Sequence[int],
     estimate: Callable[[int, float, np.random.Generator], tuple[float, ResourceLedger]],
-    trials: int, rng: np.random.Generator, success_threshold: float,
+    trials: int, rng: np.random.Generator,
 ) -> TradeoffPoint:
-    """Escalate effort until the worst per-phase hit rate meets the threshold.
+    """Escalate effort until the worst per-phase hit rate meets SUCCESS_THRESHOLD.
 
     At each effort, `estimate(effort, phi, stream)` runs `trials` times on
     each of the first grid_size n_bits-bit phases, every run on its own
     spawned stream; Q is the query count of the last run's ledger.
     """
-    tol = 2.0 ** (-n_bits)
     worst, queries = 0.0, 0
     for effort in efforts:
         worst = 1.0
@@ -267,39 +263,31 @@ def _scored_point(
             for _ in range(trials):
                 phase, ledger = estimate(effort, phi, rng.spawn(1)[0])
                 queries = ledger.queries_Q
-                hits += circular_distance(phase, phi) < tol
+                hits += bool(within_precision(phase, phi, n_bits))
             worst = min(worst, hits / trials)
-        if worst >= success_threshold:
+        if worst >= SUCCESS_THRESHOLD:
             break
     return TradeoffPoint(F=F, Q=queries, n_bits_achieved=n_bits, success_rate=worst)
 
 
 def tradeoff_sweep(
-    n_target: int,
-    F_values: Sequence[int],
-    trials: int,
-    rng: np.random.Generator,
-    success_threshold: float = 0.9,
-    max_passes: int = 15,
-    max_samples: int = 1 << 15,
+    n_target: int, F_values: Sequence[int], trials: int, rng: np.random.Generator
 ) -> list[TradeoffPoint]:
     """Measure the queries needed for n_target bits at each range F.
 
     For every F (a power of two up to 2**n_target) the sweep escalates
-    effort (majority passes, or sample count when F = 1) until the
-    worst-case per-phase success rate over the n_target-bit phase grid
-    reaches success_threshold, then records the per-estimate query count Q
-    read off an actual run ledger.  `trials` estimates are scored per grid
-    phase.  Escalation stops at max_passes or max_samples even if the
-    threshold was not reached; the reported success_rate is honest either
-    way.
+    effort (PASS_COUNTS majority passes, or SAMPLE_COUNTS samples when
+    F = 1) until the worst-case per-phase success rate over the
+    n_target-bit phase grid reaches SUCCESS_THRESHOLD, then records the
+    per-estimate query count Q read off an actual run ledger.  `trials`
+    estimates are scored per grid phase.  Escalation stops at the last
+    effort even if the threshold was not reached; the reported
+    success_rate is honest either way.
     """
     if n_target < 1:
         raise ValueError("n_target must be at least 1")
     if trials < 1:
         raise ValueError("need at least one trial per grid phase")
-    if not (0.0 < success_threshold <= 1.0):
-        raise ValueError("success threshold must lie in (0, 1]")
     points = []
     for F in F_values:
         F = int(F)
@@ -309,23 +297,20 @@ def tradeoff_sweep(
             )
         m = F.bit_length() - 1
         if m == 0:
-            samples = [16]  # doubled up to the first count >= max_samples
-            while samples[-1] < max_samples:
-                samples.append(2 * samples[-1])
             # the estimator reads phases mod 1/2, so only that half of the grid is scored
             point = _scored_point(
-                F, n_target, 1 << (n_target - 1), samples,
+                F, n_target, 1 << (n_target - 1), SAMPLE_COUNTS,
                 lambda s, phi, stream: classical_estimate(ClockModel(phi, 1.0), s, stream),
-                trials, rng, success_threshold,
+                trials, rng,
             )
         else:
             exponents = _window_exponents(n_target, m)
             point = _scored_point(
-                F, n_target, 1 << n_target, range(1, max_passes + 1, 2),
+                F, n_target, 1 << n_target, PASS_COUNTS,
                 lambda passes, phi, stream: _windowed_estimate(
                     phi, n_target, m, exponents, passes, stream
                 ),
-                trials, rng, success_threshold,
+                trials, rng,
             )
         points.append(point)
     return points

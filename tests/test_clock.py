@@ -177,6 +177,17 @@ def test_handshake_validation():
         handshake_simulate(clock, 1, basis_state(2, 0), TransitRecord(0.0, 3.4, 3.0))
 
 
+def test_handshake_tolerance_scales_with_timestamps():
+    # at 1e9 s one float step is 1.2e-7 s: rounding alone leaves a -4.8e-8 s gap
+    clock = ClockModel(0.25, 1.0)
+    photon = hadamard(basis_state(1, 0), 0)
+    consistent = TransitRecord(t_A=1e9, t_B=1e9 + 3.3 + 0.25, t_tr=3.3)
+    handshake_simulate(clock, 3, photon, consistent)
+    off = TransitRecord(t_A=1e9, t_B=1e9 + 3.3 + 0.25 + 1e-6, t_tr=3.3)
+    with pytest.raises(ValueError):
+        handshake_simulate(clock, 3, photon, off)
+
+
 def test_make_world_sampler_is_seeded_and_consistent():
     clock, sample = make_world(0.37, 2.0, child_rng(5, 0))
     records = [sample() for _ in range(6)]

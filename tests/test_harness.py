@@ -137,6 +137,17 @@ def test_boost_scenario_summary(tmp_path, capsys):
     assert all(float(r[2]) >= 0.9 for r in rows)
 
 
+def test_boost_scan_reaches_off_register_phases(tmp_path, capsys):
+    # n' = 9 >= n + 4: every n-bit grid phase also lies on the register grid,
+    # where the estimate is exact, so only off-grid phases test the floor
+    spec = _spec(tmp_path, scenario="boost", n_bits=5, delta=0.05)
+    assert run(spec) == 0
+    worst = float(capsys.readouterr().out.split("worst_exact_success=")[1].split()[0])
+    assert 0.95 <= worst < 1.0
+    _, _, rows = _read(tmp_path / "out.csv")
+    assert all(float(r[1]) * (1 << 9) % 1.0 == 0.5 for r in rows)
+
+
 def test_lemma1_scenario(tmp_path, capsys):
     spec = ExperimentSpec(
         scenario="lemma1", trials=40, seed=3, output_path=str(tmp_path / "l.csv")

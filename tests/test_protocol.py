@@ -19,7 +19,9 @@ from ticksync import (
     qft,
     run_sync,
     success_probability_exact,
+    within_precision,
 )
+from ticksync import protocol
 from ticksync.protocol import _final_joint_state, _nearest_grid_index
 from ticksync.seeding import child_rng
 from reference import (
@@ -36,6 +38,11 @@ def test_circular_distance_wraps():
     assert np.isclose(circular_distance(0.05, 0.95), 0.1, atol=1e-15)
     assert circular_distance(0.25, 0.25) == 0.0
     assert np.isclose(circular_distance(0.0, 0.5), 0.5, atol=1e-15)
+    # elementwise on arrays, and so is the success rule built on it
+    a, b = np.array([0.95, 0.05, 0.25, 0.0]), np.array([0.05, 0.95, 0.25, 0.5])
+    assert np.array_equal(circular_distance(a, b), [circular_distance(*p) for p in zip(a, b)])
+    # strictly below 2**-n: a distance of exactly 1/8 fails at n = 3
+    assert within_precision(np.array([0.9, 0.125, 0.2]), 0.0, 3).tolist() == [True, False, False]
 
 
 def test_boosted_register_size_values():
@@ -194,6 +201,21 @@ def test_photon_outcome_is_fair():
     for n_prime in (1, 3, 5):
         for phi in (0.0, 0.123456, 0.5, 0.9999):
             assert abs(photon_zero_probability(n_prime, phi) - 0.5) < 1e-12
+
+
+def test_exact_quantities_of_one_phase_share_one_state(monkeypatch):
+    built = []
+    real = protocol._final_joint_state
+    monkeypatch.setattr(protocol, "_final_joint_state", lambda *a: built.append(a) or real(*a))
+    protocol._outcome_probabilities.cache_clear()
+    p_success = success_probability_exact(5, 0.3, 4)
+    p_zero = photon_zero_probability(5, 0.3)
+    assert built == [(5, 0.3)]
+    probs = real(5, 0.3).probabilities()
+    assert p_zero == float(np.sum(probs[:32]))
+    with pytest.raises(ValueError):
+        protocol._outcome_probabilities(5, 0.3)[0] = 1.0
+    assert p_success == success_probability_exact(5, 0.3, 4)
 
 
 def test_run_sync_offgrid_matches_exact_distribution():
