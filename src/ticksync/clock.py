@@ -154,7 +154,10 @@ def handshake_simulate(
     While in flight the photon accumulates e^{-2*pi*i*k*omega0*t_tr*Z}; on
     receipt the receiver applies e^{+2*pi*i*k*omega0*(t_B - t_A)*Z} from the
     two local timestamps.  For a consistent record the transit time cancels
-    and the result equals the black-box tqh_oracle at fixed k.
+    and the result equals the black-box tqh_oracle at fixed k, up to the
+    rounding of the float timestamps: t_B - t_A keeps it, so each amplitude
+    differs from `fixed_rate_query` / `tqh_oracle` by at most
+    2*pi*k*omega0*ulp(max |t|), the max over t_A, t_B and t_tr.
 
     Raises ValueError if the record disagrees with the clock offset by more
     than TRANSIT_CONSISTENCY_TOL seconds plus TRANSIT_CONSISTENCY_ULPS ulps of

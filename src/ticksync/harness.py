@@ -37,7 +37,8 @@ from .clock import (
     ClockModel, ResourceLedger, fixed_rate_query, handshake_simulate, make_world, tqh_oracle
 )
 from .protocol import (
-    ProtocolConfig, photon_zero_probability, run_sync, success_probability_exact, within_precision
+    PHASE_GUARD_BITS, ProtocolConfig, photon_zero_probability, run_sync,
+    success_probability_exact, within_precision,
 )
 from .qsim import basis_state, hadamard
 from .seeding import child_rng
@@ -49,10 +50,6 @@ from .tradeoff import (
 # Widest register n' a spec may ask for.  The state adds a photon qubit, so
 # n' = 24 means 2**25 complex amplitudes: 512 MiB per state copy.
 MAX_REGISTER_QUBITS = 24
-
-# Bits that omega0 * t_true must carry below the n' decoded ones, so that
-# rounding the product moves the phase by under 2**-11 of a register bin.
-PHASE_GUARD_BITS = 10
 
 # sweep-phi and boost scan 2**(n + _GRID_BITS) phases, 16 per n-bit grid cell
 _GRID_BITS = 4

@@ -27,6 +27,10 @@ import numpy as np
 from .clock import ClockModel, ResourceLedger, tqh_oracle
 from .qsim import StateVector, basis_state, hadamard, inverse_qft, measure, qft
 
+# Bits that omega0 * offset_T must carry below the n' decoded ones, so that
+# rounding the product moves the phase by under 2**-11 of a register bin.
+PHASE_GUARD_BITS = 10
+
 
 def circular_distance(a, b):
     """Distance between phase fractions on the unit circle, in [0, 1/2];
@@ -151,8 +155,11 @@ def run_sync(
     Spends exactly one oracle query on a register of config.effective_register
     qubits.  phase_hat is raw_m / 2**n' folded for the photon branch and
     rounded to the nearest n_bits-bit fraction; T_hat = phase_hat / omega0.
+    Raises ValueError if omega0 * offset_T keeps < n' + PHASE_GUARD_BITS phase bits.
     """
     n_prime = config.effective_register
+    if math.ulp(clock.omega0 * clock.offset_T) > 2.0 ** -(n_prime + PHASE_GUARD_BITS):
+        raise ValueError(f"offset_T={clock.offset_T!r} leaves omega0 * offset_T too few phase bits")
     reg = range(n_prime)
     photon_out = measure(_queried_state(clock, n_prime, ledger), [n_prime], rng)
     m = measure(inverse_qft(photon_out.collapsed, reg), reg, rng).value
@@ -211,6 +218,8 @@ def min_success_on_grid(
 ) -> tuple[float, float]:
     """Scan phi = g / grid_points and return (worst phi, worst probability),
     the first minimum on ties."""
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
     phis = [g / grid_points for g in range(grid_points)]
     scan = [(phi, success_probability_exact(n_prime, phi, n_bits)) for phi in phis]
     return min(scan, key=lambda point: point[1])

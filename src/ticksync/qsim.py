@@ -9,15 +9,17 @@ passed by the caller; nothing in this module reads a global stream.
 
 Intended scale is a couple dozen qubits at most, as plain dense
 ``complex128`` vectors.  Small registers cost bookkeeping more than
-arithmetic, so index maps are cached per (num_qubits, register) as
-read-only arrays, Hadamards work on reshaped views, and the phase gates
-share one kernel that exponentiates per register value, not per amplitude.
-Every result still passes the constructor's checks, without a second copy.
+arithmetic, so a register is validated once per (num_qubits, register),
+index maps are cached per (num_qubits, register) as read-only arrays,
+Hadamards work on reshaped views, and the phase gates share one kernel that
+exponentiates per register value, not per amplitude.  Every result still
+passes the constructor's checks, without a second copy.
 Repeated oracle queries are fused one layer up, in `clock.tqh_oracle`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -26,6 +28,7 @@ import numpy as np
 
 # Norm drift allowed at construction; unitary ops keep states far inside this.
 NORM_TOL = 1e-9
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # theta_of_k may be a callable on register values or a precomputed sequence
 PhaseMap = Callable[[int], float] | Sequence[float] | np.ndarray
@@ -55,9 +58,9 @@ class StateVector:
             )
         # One pass covers both checks: a non-finite amplitude makes the squared
         # norm inf or nan, and neither satisfies the `<=` below.
-        norm_sq = float(np.real(np.vdot(arr, arr)))
+        norm_sq = float(np.vdot(arr, arr).real)
         if not abs(norm_sq - 1.0) <= NORM_TOL:
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError("amplitudes must be finite")
             raise ValueError(f"squared norm {norm_sq!r} is not within {NORM_TOL} of 1")
         self.num_qubits = num_qubits
@@ -98,14 +101,16 @@ def _check_qubit(state: StateVector, qubit: int, role: str = "qubit") -> int:
     return qubit
 
 
-def _check_register(
-    state: StateVector, register: Sequence[int], allow_empty: bool = False
-) -> tuple[int, ...]:
+# callers pass tuple(register), so a list, tuple or range share one entry; a
+# bad register raises again on every call, as lru_cache keeps no exceptions
+@lru_cache(maxsize=64)
+def _check_register(num_qubits: int, register: tuple, allow_empty: bool = False) -> tuple:
     reg = tuple(int(q) for q in register)
     if not reg and not allow_empty:
         raise ValueError("register must name at least one qubit")
     for q in reg:
-        _check_qubit(state, q, role="register qubit")
+        if not 0 <= q < num_qubits:
+            raise ValueError(f"register qubit index {q} out of range for {num_qubits} qubits")
     if len(set(reg)) != len(reg):
         raise ValueError(f"register qubits must be distinct, got {reg}")
     return reg
@@ -140,10 +145,10 @@ def hadamard(state: StateVector, target: int) -> StateVector:
     target = _check_qubit(state, target, role="target")
     # axes: higher qubits, target, lower qubits
     pairs = state.amps.reshape(-1, 2, 1 << target)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
     new = np.empty_like(pairs)
-    new[:, 0] = (pairs[:, 0] + pairs[:, 1]) * inv_sqrt2
-    new[:, 1] = (pairs[:, 0] - pairs[:, 1]) * inv_sqrt2
+    np.add(pairs[:, 0], pairs[:, 1], out=new[:, 0])
+    np.subtract(pairs[:, 0], pairs[:, 1], out=new[:, 1])
+    new *= _INV_SQRT2
     return StateVector(state.num_qubits, new.reshape(-1), copy=False)
 
 
@@ -174,7 +179,7 @@ def _evaluate_phases(theta_of_k: PhaseMap, count: int) -> np.ndarray:
             raise ValueError(
                 f"phase table has shape {thetas.shape}, expected ({count},)"
             )
-    if not np.all(np.isfinite(thetas)):
+    if not np.isfinite(thetas).all():
         raise ValueError("phase map must be finite for every register value")
     return thetas
 
@@ -197,7 +202,7 @@ def indexed_phase(
         theta_of_k: callable on range(2**len(register)), or a same-length
             sequence of angles.
     """
-    reg = _check_register(state, register, allow_empty=True)
+    reg = _check_register(state.num_qubits, tuple(register), allow_empty=True)
     photon = _check_qubit(state, photon, role="photon")
     if photon in reg:
         raise ValueError(f"photon qubit {photon} overlaps the register {reg}")
@@ -210,12 +215,12 @@ def diagonal_phase(
     state: StateVector, register: Sequence[int], theta_of_k: PhaseMap
 ) -> StateVector:
     """Diagonal rotation |k> -> e^{i*theta_of_k(k)} |k> on a register."""
-    reg = _check_register(state, register)
+    reg = _check_register(state.num_qubits, tuple(register))
     return _diagonal(state, reg, _evaluate_phases(theta_of_k, 1 << len(reg)))
 
 
 def _fourier(state: StateVector, register: Sequence[int], inverse: bool) -> StateVector:
-    reg = _check_register(state, register)
+    reg = _check_register(state.num_qubits, tuple(register))
     joint = _gather_indices(state.num_qubits, reg)
     block = state.amps[joint]
     block = (np.fft.fft if inverse else np.fft.ifft)(block, axis=0, norm="ortho")
@@ -258,13 +263,13 @@ def measure(
         qubits: distinct qubit indices; an empty selection is rejected.
         rng: explicit random stream used for the Born-rule draw.
     """
-    reg = _check_register(state, qubits)
+    reg = _check_register(state.num_qubits, tuple(qubits))
     joint = _gather_indices(state.num_qubits, reg)
     block = state.amps[joint]
-    weights = np.sum(np.abs(block) ** 2, axis=1)
+    weights = (np.abs(block) ** 2).sum(axis=1)
     # scale the draw by the realized total instead of renormalizing weights
     draw = rng.random() * float(weights.sum())
-    value = int(np.searchsorted(np.cumsum(weights), draw, side="right"))
+    value = int(weights.cumsum().searchsorted(draw, side="right"))
     value = min(value, weights.size - 1)
 
     if len(reg) == state.num_qubits:
@@ -275,6 +280,8 @@ def measure(
         return MeasurementOutcome(value, StateVector(state.num_qubits, new, copy=False))
 
     survivor = block[value, :]
-    survivor = survivor / np.linalg.norm(survivor)
+    # np.linalg.norm's own complex formula, without its dispatch
+    re, im = survivor.real, survivor.imag
+    survivor = survivor / math.sqrt(re.dot(re) + im.dot(im))
     collapsed = StateVector(state.num_qubits - len(reg), survivor, copy=False)
     return MeasurementOutcome(value, collapsed)

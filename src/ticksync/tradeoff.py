@@ -13,15 +13,18 @@ grows as F falls.  Three regimes are covered:
   reads the next bits up, with the already-known low bits cancelled by an
   in-circuit diagonal correction, and the windows merge as plain integers.
   Windows are re-run in passes (1, 3, ..., 15) with a per-window majority
-  vote when one pass is not reliable enough.
+  vote when one pass is not reliable enough.  Each window's queried state
+  is built once per grid phase and effort; every run of the window still
+  charges its 2**e queries and measures the photon and the register.
 * F = 1: no usable quantum phase, only the fixed unit-rate observable.
   A two-quadrature sampling estimator inverts the outcome frequencies;
   the sample count doubles from 16 to 2**15 until the target precision is
   reliably met.
 
-Both escalations share one scoring loop, `_scored_point`, which grades each
-effort by its worst per-phase hit rate over the n-bit phase grid against
-the module constant SUCCESS_THRESHOLD = 0.9.
+Both escalations share one scoring loop, `_scored_point`, which prepares
+each grid phase once per effort and grades the effort by its worst
+per-phase hit rate over the n-bit phase grid against the module constant
+SUCCESS_THRESHOLD = 0.9.
 
 Query accounting is uniform: every oracle invocation costs 1 regardless of
 how many rate branches it carries, and a query made in superposition is
@@ -34,6 +37,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -182,7 +186,7 @@ def _window_exponents(n_bits: int, m: int) -> list[int]:
 
 
 def _measure_window(
-    clock: ClockModel,
+    queried: StateVector,
     m: int,
     exponent: int,
     known_turns: float,
@@ -191,13 +195,15 @@ def _measure_window(
 ) -> int:
     """Estimate one m-bit window of the phase at bit offset `exponent`.
 
-    Runs the protocol's circuit on an m-qubit register driven by 2**exponent
-    repeated queries, then cancels known_turns, the part of 2**exponent * phi
-    that the lower windows already read, with a diagonal rotation whose sign
-    follows the photon branch.
+    `queried` is the protocol's circuit on an m-qubit register right after its
+    2**exponent repeated queries, built once per grid phase; each run charges
+    those queries to `ledger`, measures the photon, cancels known_turns (the
+    part of 2**exponent * phi the lower windows already read) with a diagonal
+    rotation whose sign follows the photon branch, and measures the register.
     """
     reg = range(m)
-    photon_out = measure(_queried_state(clock, m, ledger, repeats=1 << exponent), [m], rng)
+    ledger.record_query((1 << m) - 1, count=1 << exponent)
+    photon_out = measure(queried, [m], rng)
     state = photon_out.collapsed
     if known_turns > 0:
         sign = -1.0 if photon_out.value == 0 else 1.0
@@ -208,21 +214,22 @@ def _measure_window(
 
 
 def _windowed_estimate(
-    phi: float,
+    states: Sequence[StateVector],
     n_bits: int,
     m: int,
     exponents: Sequence[int],
     passes: int,
     rng: np.random.Generator,
 ) -> tuple[float, ResourceLedger]:
-    """Full multi-window estimate of phi with per-window majority voting.
+    """Full multi-window estimate of a phase with per-window majority voting.
 
+    states[i] is window i's queried state for the true phase,
+    `_queried_state(ClockModel(phi, 1.0), m, repeats=2**exponents[i])`.
     The window at offset e reads bits shift..shift+m-1 of the n_bits-bit
     phase integer, shift = n_bits - e - m.  Windows are merged from bit 0
     upward into a running value whose low `known` bits are set; where two
     windows overlap, the earlier read wins.
     """
-    clock = ClockModel(offset_T=phi, omega0=1.0)
     ledger = ResourceLedger()
     votes: list[Counter] = [Counter() for _ in exponents]
     for _ in range(passes):
@@ -230,7 +237,7 @@ def _windowed_estimate(
         for stage, exponent in enumerate(exponents):
             shift = n_bits - exponent - m
             known_turns = (value & ((1 << shift) - 1)) / float(1 << (shift + m))
-            window = _measure_window(clock, m, exponent, known_turns, rng, ledger)
+            window = _measure_window(states[stage], m, exponent, known_turns, rng, ledger)
             votes[stage][window] += 1
             value |= (window << shift) >> known << known
             known = shift + m
@@ -245,23 +252,25 @@ def _windowed_estimate(
 
 def _scored_point(
     F: int, n_bits: int, grid_size: int, efforts: Sequence[int],
-    estimate: Callable[[int, float, np.random.Generator], tuple[float, ResourceLedger]],
+    prepare: Callable[[float], Callable[[int, np.random.Generator], tuple[float, ResourceLedger]]],
     trials: int, rng: np.random.Generator,
 ) -> TradeoffPoint:
     """Escalate effort until the worst per-phase hit rate meets SUCCESS_THRESHOLD.
 
-    At each effort, `estimate(effort, phi, stream)` runs `trials` times on
-    each of the first grid_size n_bits-bit phases, every run on its own
-    spawned stream; Q is the query count of the last run's ledger.
+    At each effort, for each of the first grid_size n_bits-bit phases phi,
+    `prepare(phi)` runs once, and the `estimate(effort, stream)` it returns
+    runs `trials` times, every run on its own spawned stream; Q is the query
+    count of the last run's ledger.  Only one phase is prepared at a time.
     """
     worst, queries = 0.0, 0
     for effort in efforts:
         worst = 1.0
         for g in range(grid_size):
             phi = g / float(1 << n_bits)
+            estimate = prepare(phi)
             hits = 0
             for _ in range(trials):
-                phase, ledger = estimate(effort, phi, rng.spawn(1)[0])
+                phase, ledger = estimate(effort, rng.spawn(1)[0])
                 queries = ledger.queries_Q
                 hits += bool(within_precision(phase, phi, n_bits))
             worst = min(worst, hits / trials)
@@ -300,16 +309,16 @@ def tradeoff_sweep(
             # the estimator reads phases mod 1/2, so only that half of the grid is scored
             point = _scored_point(
                 F, n_target, 1 << (n_target - 1), SAMPLE_COUNTS,
-                lambda s, phi, stream: classical_estimate(ClockModel(phi, 1.0), s, stream),
+                lambda phi: partial(classical_estimate, ClockModel(phi, 1.0)),
                 trials, rng,
             )
         else:
             exponents = _window_exponents(n_target, m)
             point = _scored_point(
                 F, n_target, 1 << n_target, PASS_COUNTS,
-                lambda passes, phi, stream: _windowed_estimate(
-                    phi, n_target, m, exponents, passes, stream
-                ),
+                lambda phi: partial(_windowed_estimate, [
+                    _queried_state(ClockModel(phi, 1.0), m, repeats=1 << e) for e in exponents
+                ], n_target, m, exponents),
                 trials, rng,
             )
         points.append(point)

@@ -188,6 +188,22 @@ def test_handshake_tolerance_scales_with_timestamps():
         handshake_simulate(clock, 3, photon, off)
 
 
+def test_handshake_deviation_within_timestamp_rounding_bound():
+    # t_B = 1e9 + 3.55 is rounded to 1.2e-7 s, and k * omega0 scales that slip
+    clock = ClockModel(0.25, 1.0)
+    photon = hadamard(basis_state(1, 0), 0)
+    record = TransitRecord(t_A=1e9, t_B=1e9 + 3.3 + 0.25, t_tr=3.3)
+    scale = max(abs(record.t_A), abs(record.t_B), record.t_tr)
+    for k in (1, 3, 64):
+        deviation = np.abs(
+            handshake_simulate(clock, k, photon, record).amps
+            - fixed_rate_query(clock, photon, 0, k).amps
+        ).max()
+        bound = 2 * math.pi * k * clock.omega0 * math.ulp(scale)
+        # the rounding shows, and stays inside the documented bound
+        assert 1e-12 < deviation <= bound, (k, deviation, bound)
+
+
 def test_make_world_sampler_is_seeded_and_consistent():
     clock, sample = make_world(0.37, 2.0, child_rng(5, 0))
     records = [sample() for _ in range(6)]

@@ -234,6 +234,23 @@ def test_run_sync_offgrid_matches_exact_distribution():
     assert abs(hits / trials - expected) < four_sigma(expected, trials)
 
 
+def test_run_sync_refuses_an_offset_that_lost_its_phase_bits():
+    # omega0 * offset_T = 1e17 + 0.3 rounds to an integer: phi_star is 0.0
+    clock = ClockModel(1e17 + 0.3, 1.0)
+    assert clock.phi_star == 0.0
+    with pytest.raises(ValueError, match="offset_T"):
+        run_sync(ProtocolConfig(4), clock, child_rng(1, 0))
+    # far from 0 but with bits to spare is still served
+    far = ClockModel(1000.0 + 5 / 16, 1.0)
+    assert run_sync(ProtocolConfig(4), far, child_rng(1, 0)).phase_hat == 5 / 16
+
+
+def test_min_success_on_grid_needs_a_grid_point():
+    for grid_points in (0, -1):
+        with pytest.raises(ValueError, match="grid_points"):
+            min_success_on_grid(3, 3, grid_points)
+
+
 def test_min_success_on_grid_returns_argmin():
     phi, prob = min_success_on_grid(3, 3, 32)
     scan = [success_probability_exact(3, g / 32, 3) for g in range(32)]

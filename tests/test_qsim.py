@@ -189,6 +189,47 @@ def test_qft_rejects_bad_registers():
         qft(state, [0, 3])
 
 
+def test_register_validation_is_cached_but_refuses_every_time():
+    state = StateVector(3, random_state(3, 7))
+    rng = np.random.default_rng(0)
+    ops = (qft, inverse_qft, lambda s, r: measure(s, r, rng))
+    for register in ([], [0, 0], [0, 3], [-1]):
+        for op in ops:
+            for _ in range(2):  # a cached check must not let the second call through
+                with pytest.raises(ValueError):
+                    op(state, register)
+    # the same qubits named as a list, a tuple or a range give identical results
+    results = [
+        (
+            qft(state, register).amps.tobytes(),
+            inverse_qft(state, register).amps.tobytes(),
+            diagonal_phase(state, register, [0.1, 0.2, 0.3, 0.4]).amps.tobytes(),
+            measure(state, register, np.random.default_rng(3)).value,
+            measure(state, register, np.random.default_rng(3)).collapsed.amps.tobytes(),
+        )
+        for register in ([2, 0], (2, 0), range(2, -1, -2))
+    ]
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 5, 6])
+def test_lean_ops_match_plain_numpy_bit_for_bit(num_qubits):
+    # the per-op trims reorder no arithmetic: same bits as the textbook forms
+    state = StateVector(num_qubits, random_state(num_qubits, 11 + num_qubits))
+    amps = state.amps
+    for target in range(num_qubits):
+        pairs = amps.reshape(-1, 2, 1 << target)
+        expected = np.empty_like(pairs)
+        expected[:, 0] = (pairs[:, 0] + pairs[:, 1]) * (1.0 / np.sqrt(2.0))
+        expected[:, 1] = (pairs[:, 0] - pairs[:, 1]) * (1.0 / np.sqrt(2.0))
+        assert hadamard(state, target).amps.tobytes() == expected.reshape(-1).tobytes()
+    if num_qubits > 1:
+        outcome = measure(state, [0], np.random.default_rng(5))
+        survivor = np.ascontiguousarray(amps[outcome.value::2])
+        expected = survivor / np.linalg.norm(survivor)
+        assert outcome.collapsed.amps.tobytes() == expected.tobytes()
+
+
 def test_indexed_phase_brute_force_enumeration():
     amps = random_state(3, 7)
     thetas = [0.3, 1.1, -0.4, 2.9]

@@ -10,14 +10,20 @@ from ticksync import (
     basis_state,
     circular_distance,
     classical_estimate,
+    diagonal_phase,
     fixed_rate_query,
     hadamard,
+    inverse_qft,
+    measure,
     nayak_wu_bound,
+    qft,
     simulate_rate_k_with_unit_rate,
     single_rate_state,
+    tqh_oracle,
     tradeoff_sweep,
 )
-from ticksync.tradeoff import _window_exponents
+from ticksync.protocol import _queried_state
+from ticksync.tradeoff import _window_exponents, _windowed_estimate
 from ticksync.seeding import child_rng
 
 
@@ -208,14 +214,70 @@ def test_windowed_estimates_recover_grid_phases():
 
 def test_windowed_estimate_off_grid_phase_useful():
     # off the grid nothing is exact, but estimates should cluster nearby
-    from ticksync.tradeoff import _windowed_estimate
-
     phi = 0.303
+    exponents = _window_exponents(5, 1)
+    states = [_queried_state(ClockModel(phi, 1.0), 1, repeats=1 << e) for e in exponents]
     close = 0
     for seed in range(60):
         estimate, ledger = _windowed_estimate(
-            phi, 5, 1, _window_exponents(5, 1), 3, child_rng(45, seed)
+            states, 5, 1, exponents, 3, child_rng(45, seed)
         )
         close += circular_distance(estimate, phi) < 2 ** -4
         assert ledger.queries_Q == 3 * 31
     assert close >= 30
+
+
+def _sequential_window(clock, m, exponent, known_turns, rng, ledger, photons):
+    # the window circuit built from scratch, queries charged by the oracle
+    reg = range(m)
+    state = hadamard(qft(basis_state(m + 1, 0), reg), m)
+    state = tqh_oracle(clock, state, reg, m, ledger, repeats=1 << exponent)
+    photon = measure(state, [m], rng)
+    photons.add((photon.value, known_turns > 0))
+    state = photon.collapsed
+    if known_turns > 0:
+        sign = -1.0 if photon.value == 0 else 1.0
+        turns = (np.arange(1 << m) * known_turns) % 1.0
+        state = diagonal_phase(state, reg, 2 * np.pi * sign * turns)
+    window = measure(inverse_qft(state, reg), reg, rng).value
+    return (-window) % (1 << m) if photon.value == 1 else window
+
+
+def _sequential_estimate(phi, n_bits, m, passes, rng, photons):
+    # bits kept by position; the majority vote elects the smaller window on ties
+    clock, ledger = ClockModel(phi, 1.0), ResourceLedger()
+    exponents = _window_exponents(n_bits, m)
+    votes = [{} for _ in exponents]
+    for _ in range(passes):
+        bits = {}  # bit position -> bit, the earlier window's read kept
+        for stage, e in enumerate(exponents):
+            shift = n_bits - e - m
+            known = sum(bits[b] << b for b in range(shift))
+            window = _sequential_window(clock, m, e, known / 2 ** (shift + m), rng, ledger, photons)
+            votes[stage][window] = votes[stage].get(window, 0) + 1
+            for b in range(m):
+                bits.setdefault(shift + b, (window >> b) & 1)
+    bits = {}
+    for e, counter in zip(exponents, votes):
+        window = max(sorted(counter), key=lambda w: counter[w])
+        for b in range(m):
+            bits.setdefault(n_bits - e - m + b, (window >> b) & 1)
+    return sum(bit << b for b, bit in bits.items()) / 2 ** n_bits, ledger
+
+
+def test_hoisted_windows_match_sequential_circuits():
+    # one queried state per window, reused by every pass and trial, against
+    # rebuilding the circuit per window: same draws, streams and ledgers
+    photons = set()
+    for n_bits, m, passes in ((4, 1, 3), (5, 2, 3), (5, 3, 1), (4, 4, 2)):
+        exponents = _window_exponents(n_bits, m)
+        for phi in (0.0, 5 / 16, 0.303, 0.77):
+            states = [_queried_state(ClockModel(phi, 1.0), m, repeats=1 << e) for e in exponents]
+            for seed in range(6):
+                rng, ref_rng = child_rng(71, seed), child_rng(71, seed)
+                phase, ledger = _windowed_estimate(states, n_bits, m, exponents, passes, rng)
+                ref = _sequential_estimate(phi, n_bits, m, passes, ref_rng, photons)
+                assert (phase, ledger) == ref
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # both photon branches, with and without a known-bits correction
+    assert photons == {(0, False), (1, False), (0, True), (1, True)}
