@@ -54,9 +54,10 @@ MAX_REGISTER_QUBITS = 24
 # sweep-phi and boost scan 2**(n + _GRID_BITS) phases, 16 per n-bit grid cell
 _GRID_BITS = 4
 
-# Most amplitudes a sweep-phi or boost grid scan may compute: one exact
-# evaluation on a 2**(n' + 1)-amplitude state per grid phase.  sweep-phi
-# admits n <= 9 and boost at delta = 0.05 admits n <= 7.
+# Most amplitudes a sweep-phi or boost grid scan may compute, priced as one
+# 2**(n' + 1)-amplitude state per grid phase: sweep-phi's p_photon0 states.
+# boost's exact scan sums only 2**(n' - n + 1) kernel weights per phase, so
+# this over-prices it.  sweep-phi admits n <= 9, boost at delta = 0.05 n <= 7.
 MAX_GRID_SCAN_AMPLITUDES = 1 << 24
 
 
@@ -181,12 +182,13 @@ def _scenario_sync(spec: ExperimentSpec):
 def _scenario_sweep_phi(spec: ExperimentSpec):
     n = spec.n_bits
     grid_points = 1 << (n + _GRID_BITS)
-    # called back to back, the two exact quantities of a phase share its state
+    phis = np.arange(grid_points) / grid_points
+    probs = success_probability_exact(n, phis, n)
+    worst_phi, worst_p = phis[np.argmin(probs)], probs.min()
     rows = [
-        (g, phi, success_probability_exact(n, phi, n), photon_zero_probability(n, phi))
-        for g, phi in enumerate(g / grid_points for g in range(grid_points))
+        (g, phi, p, photon_zero_probability(n, phi))
+        for g, (phi, p) in enumerate(zip(phis.tolist(), probs.tolist()))
     ]
-    _, worst_phi, worst_p, _ = min(rows, key=lambda row: row[2])
     columns = ("grid_index", "phi", "success_prob", "p_photon0")
     extras = (("grid_points", grid_points),)
     floor = 4.0 / math.pi**2
@@ -204,11 +206,10 @@ def _scenario_boost(spec: ExperimentSpec):
     grid_points = 1 << (n + _GRID_BITS)
     # the estimate is exact on the n'-bit register grid: scan half a bin off it
     half_bin = 2.0 ** -(n_prime + 1)
-    rows = [
-        (g, phi, success_probability_exact(n_prime, phi, n))
-        for g, phi in enumerate((g / grid_points + half_bin) % 1.0 for g in range(grid_points))
-    ]
-    _, worst_phi, worst_p = min(rows, key=lambda row: row[2])
+    phis = (np.arange(grid_points) / grid_points + half_bin) % 1.0
+    probs = success_probability_exact(n_prime, phis, n)
+    worst_phi, worst_p = float(phis[np.argmin(probs)]), probs.min()
+    rows = list(zip(range(grid_points), phis.tolist(), probs.tolist()))
     columns = ("grid_index", "phi", "success_prob")
 
     clock = ClockModel(offset_T=worst_phi / spec.omega0, omega0=spec.omega0)

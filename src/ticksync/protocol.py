@@ -6,8 +6,8 @@ single coherent query, measure the photon, then invert the Fourier
 transform and read the register.  A photon outcome of 1 lands on the
 conjugate phase branch, which post-processing folds back by negating the
 register value mod 2**n'.  This module is the one place that circuit
-(`_queried_state`) and that fold (`_fold_conjugate`) are written: the exact
-analysis below and the windowed estimator in `tradeoff` reuse them.
+(`_queried_state`) and that fold (`_fold_conjugate`) are written, and
+`tradeoff` reuses them; the exact analysis sums the run's Fejer kernel.
 
 Success for a target precision of n bits means circular distance strictly
 below 2**-n between the estimate and omega0*T mod 1.  On n-bit grid phases
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +29,8 @@ from .qsim import StateVector, basis_state, hadamard, inverse_qft, measure, qft
 # Bits that omega0 * offset_T must carry below the n' decoded ones, so that
 # rounding the product moves the phase by under 2**-11 of a register bin.
 PHASE_GUARD_BITS = 10
+
+_WEIGHT_BLOCK = 1 << 20  # most kernel weights the exact analysis holds at once
 
 
 def circular_distance(a, b):
@@ -134,14 +135,20 @@ def _final_joint_state(n_prime: int, phi: float) -> StateVector:
     return inverse_qft(_queried_state(ClockModel(phi, 1.0), n_prime), range(n_prime))
 
 
-@lru_cache(maxsize=1)
-def _outcome_probabilities(n_prime: int, phi: float) -> np.ndarray:
-    """Read-only Born weights of `_final_joint_state`, kept for the last
-    (n_prime, phi) so that its exact success and photon-zero probabilities
-    share one state."""
-    probs = _final_joint_state(n_prime, phi).probabilities()
-    probs.flags.writeable = False
-    return probs
+def _register_weights(n_prime: int, theta, m):
+    """Probability of reading register value m (photon branches folded) at
+    phase theta, from the Fejer kernel of Cleve, Ekert, Macchiavello and
+    Mosca 1998: |sin(pi r) / (N sin(pi r / N))|**2, r = N*theta - m, N = 2**n'.
+
+    Elementwise.  r, exact for integer m near N*theta, is reduced exactly: to
+    r - round(r) for the numerator, into [-N/2, N/2] for the denominator.
+    """
+    size = 1 << n_prime
+    r = theta * size - m
+    r_den = r - size * np.round(r / size)
+    peak = r_den == 0
+    den = size * np.sin(np.pi * np.where(peak, 1.0, r_den) / size)
+    return np.where(peak, 1.0, (np.sin(np.pi * (r - np.round(r))) / den) ** 2)
 
 
 def run_sync(
@@ -174,52 +181,54 @@ def run_sync(
     )
 
 
-def _validated_phase(phi: float) -> float:
-    phi = float(phi)
-    if not (math.isfinite(phi) and 0.0 <= phi < 1.0):
+def _validated_phase(phi):
+    phis = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(phis) & (phis >= 0.0) & (phis < 1.0)):
         raise ValueError(f"phase fraction must lie in [0, 1), got {phi!r}")
-    return phi
+    return phis
 
 
-def success_probability_exact(n_prime: int, phi: float, n_bits: int) -> float:
+def success_probability_exact(n_prime: int, phi, n_bits: int):
     """Exact probability that a run estimates phi to within 2**-n_bits.
 
-    Decodes all (photon, register) outcomes of the pre-measurement joint
-    state as arrays and adds the Born weights of those whose phase_hat lies
-    at circular distance strictly below 2**-n_bits from phi, as a running
-    total in basis-index order (a pairwise sum can move it by an ulp).
-    No sampling.
+    Elementwise over an array of phases; a float for a scalar phi.  Only the
+    2**(n' - n_bits + 1) register values that round to floor(phi * 2**n_bits)
+    or the next grid point can succeed: each is scored by `within_precision`
+    and the kernel weights of the hits are summed, at most `_WEIGHT_BLOCK`
+    weights at a time.  No sampling, no state.
     """
     if n_prime < 1:
         raise ValueError("register needs at least one qubit")
     if not 1 <= n_bits <= n_prime:
         raise ValueError(f"n_bits must lie in [1, {n_prime}], got {n_bits}")
-    phi = _validated_phase(phi)
-
-    probs = _outcome_probabilities(n_prime, phi)
-    j = np.arange(1 << n_prime)
-    # basis index j + (photon << n'): photon 0 reads j, photon 1 its fold
-    m = np.concatenate([j, _fold_conjugate(j, n_prime)])
-    phase_hat = _nearest_grid_index(m, n_prime, n_bits) / float(1 << n_bits)
-    hit = within_precision(phase_hat, phi, n_bits)
-    return float(np.cumsum(np.where(hit, probs, 0.0))[-1])
+    phis = _validated_phase(phi)
+    d = n_prime - n_bits
+    width = 2 << d  # values from base on that round to g = floor(phi * 2**n_bits) or g + 1
+    cols = min(width, _WEIGHT_BLOCK)
+    flat, total = phis.ravel(), np.zeros(phis.size)
+    for start in range(0, flat.size, _WEIGHT_BLOCK // cols):
+        p = flat[start : start + _WEIGHT_BLOCK // cols, None]
+        base = (np.floor(p * (1 << n_bits)).astype(np.int64) << d) - (((1 << d) - 1) >> 1)
+        for lo in range(0, width, cols):
+            m = base + np.arange(lo, lo + cols)
+            hit = within_precision(_nearest_grid_index(m, n_prime, n_bits) / 2.0**n_bits, p, n_bits)
+            total[start : start + len(p)] += np.where(hit, _register_weights(n_prime, p, m), 0).sum(1)
+    return total.reshape(phis.shape) if phis.ndim else float(total[0])
 
 
 def photon_zero_probability(n_prime: int, phi: float) -> float:
-    """Exact probability of reading photon_bit = 0; 1/2 for every phi."""
+    """Exact probability of reading photon_bit = 0 in the state; 1/2 for every phi."""
     if n_prime < 1:
         raise ValueError("register needs at least one qubit")
-    probs = _outcome_probabilities(n_prime, _validated_phase(phi))
+    probs = _final_joint_state(n_prime, float(_validated_phase(phi))).probabilities()
     return float(np.sum(probs[: 1 << n_prime]))
 
 
-def min_success_on_grid(
-    n_prime: int, n_bits: int, grid_points: int
-) -> tuple[float, float]:
+def min_success_on_grid(n_prime: int, n_bits: int, grid_points: int) -> tuple[float, float]:
     """Scan phi = g / grid_points and return (worst phi, worst probability),
     the first minimum on ties."""
-    if grid_points < 1:
-        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
-    phis = [g / grid_points for g in range(grid_points)]
-    scan = [(phi, success_probability_exact(n_prime, phi, n_bits)) for phi in phis]
-    return min(scan, key=lambda point: point[1])
+    if not isinstance(grid_points, (int, np.integer)) or grid_points < 1:
+        raise ValueError(f"grid_points must be a positive integer, got {grid_points!r}")
+    phis = np.arange(grid_points) / grid_points
+    probs = success_probability_exact(n_prime, phis, n_bits)
+    return float(phis[np.argmin(probs)]), float(probs.min())

@@ -1,10 +1,15 @@
 import math
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ticksync import (
     ClockModel,
+    ExperimentSpec,
     ProtocolConfig,
     ResourceLedger,
     StateVector,
@@ -17,11 +22,12 @@ from ticksync import (
     min_success_on_grid,
     photon_zero_probability,
     qft,
+    run,
     run_sync,
     success_probability_exact,
     within_precision,
 )
-from ticksync import protocol
+from ticksync import harness, protocol
 from ticksync.protocol import _final_joint_state, _nearest_grid_index
 from ticksync.seeding import child_rng
 from reference import (
@@ -133,19 +139,72 @@ def test_success_probability_matches_closed_form():
         assert np.isclose(lib, ref, atol=1e-10), (n_prime, n_bits, phi)
 
 
-def test_success_probability_adds_weights_in_outcome_order():
-    # equal, bit for bit, to a loop over outcomes in basis order; numpy's
-    # pairwise sum differs by an ulp on both cases and can flip which grid
-    # phase a scan reports as the worst
-    for n_prime, n_bits, phi in ((8, 5, 0.77), (8, 6, 0.3)):
-        size = 1 << n_prime
-        total = 0.0
-        for index, weight in enumerate(_final_joint_state(n_prime, phi).probabilities()):
-            m = index if index < size else (2 * size - index) % size
-            grid = nearest_fraction_index(m, n_prime, n_bits)
-            if reference_distance(grid / (1 << n_bits), phi) < 2.0 ** -n_bits:
-                total += float(weight)
-        assert success_probability_exact(n_prime, phi, n_bits) == total
+@example(n_prime=1, lower_bits=0, k=1, kind="mid-cell")
+@example(n_prime=1, lower_bits=0, k=0, kind="below")
+@settings(max_examples=80, deadline=None)
+@given(
+    n_prime=st.integers(1, 12),
+    lower_bits=st.integers(0, 11),
+    k=st.integers(0, 4095),
+    kind=st.sampled_from(["grid", "above", "below", "mid-cell", "near-1"]),
+)
+def test_success_probability_matches_statevector_decode(n_prime, lower_bits, k, kind):
+    # the kernel sum against the run's own state, decoded outcome by outcome;
+    # the two add in different orders, so they agree to 1e-12, not bit for bit
+    size = 1 << n_prime
+    n_bits = max(1, n_prime - lower_bits)
+    k %= size
+    phi = {
+        "grid": k / size,
+        "above": k / size + 1e-13,
+        "below": k / size - 1e-13,  # wraps to just under 1 at k = 0
+        "mid-cell": (k + 0.5) / size,
+        "near-1": 1.0 - (k + 1) * 2.0**-53,
+    }[kind] % 1.0
+    total = 0.0
+    for index, weight in enumerate(_final_joint_state(n_prime, phi).probabilities()):
+        m = index if index < size else (2 * size - index) % size
+        grid = nearest_fraction_index(m, n_prime, n_bits)
+        if reference_distance(grid / (1 << n_bits), phi) < 2.0 ** -n_bits:
+            total += float(weight)
+    assert abs(success_probability_exact(n_prime, phi, n_bits) - total) <= 1e-12
+
+
+def test_success_probability_array_matches_scalar_calls_bit_for_bit():
+    # 2**11 weights per phase: 512 phases per block, so 1,200 phases span three
+    n_prime, n_bits = 13, 3
+    assert protocol._WEIGHT_BLOCK // (2 << (n_prime - n_bits)) == 512
+    phis = np.random.default_rng(5).random(1200)
+    phis[::7] = np.arange(0, 1200, 7) % (1 << n_prime) / (1 << n_prime)
+    got = success_probability_exact(n_prime, phis, n_bits)
+    assert got.shape == phis.shape
+    assert got.tolist() == [success_probability_exact(n_prime, p, n_bits) for p in phis.tolist()]
+    grid = success_probability_exact(n_prime, phis.reshape(40, 30), n_bits)
+    assert grid.tolist() == got.reshape(40, 30).tolist()
+
+
+def test_success_probability_splits_windows_wider_than_a_block(monkeypatch):
+    phis = np.concatenate([np.random.default_rng(6).random(40), np.arange(64) / 64])
+    cases = [(6, 1), (6, 4), (8, 2), (8, 8)]
+    whole = [success_probability_exact(n_prime, phis, n_bits) for n_prime, n_bits in cases]
+    monkeypatch.setattr(protocol, "_WEIGHT_BLOCK", 8)
+    for (n_prime, n_bits), expected in zip(cases, whole):
+        got = success_probability_exact(n_prime, phis, n_bits)
+        assert np.max(np.abs(got - expected)) <= 1e-15
+
+
+def test_success_probability_memory_stays_within_one_block():
+    def peak(phase_count):
+        phis = np.arange(phase_count) / phase_count
+        tracemalloc.start()
+        try:
+            success_probability_exact(12, phis, 2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # 2**11 weights per phase at n' = 12, n = 2: one block holds 512 phases
+    assert peak(4 * 512) < 1.5 * peak(512)
 
 
 def test_success_probability_exact_on_grid():
@@ -166,6 +225,8 @@ def test_success_probability_validation():
         success_probability_exact(3, 0.5, 0)
     with pytest.raises(ValueError):
         success_probability_exact(0, 0.5, 1)
+    with pytest.raises(ValueError):
+        success_probability_exact(3, np.array([0.5, 1.0]), 3)
 
 
 def test_worst_case_stays_above_constant_floor():
@@ -203,19 +264,34 @@ def test_photon_outcome_is_fair():
             assert abs(photon_zero_probability(n_prime, phi) - 0.5) < 1e-12
 
 
-def test_exact_quantities_of_one_phase_share_one_state(monkeypatch):
+def test_sweep_phi_builds_one_state_per_grid_phase(monkeypatch, tmp_path):
     built = []
     real = protocol._final_joint_state
     monkeypatch.setattr(protocol, "_final_joint_state", lambda *a: built.append(a) or real(*a))
-    protocol._outcome_probabilities.cache_clear()
-    p_success = success_probability_exact(5, 0.3, 4)
-    p_zero = photon_zero_probability(5, 0.3)
-    assert built == [(5, 0.3)]
-    probs = real(5, 0.3).probabilities()
-    assert p_zero == float(np.sum(probs[:32]))
-    with pytest.raises(ValueError):
-        protocol._outcome_probabilities(5, 0.3)[0] = 1.0
-    assert p_success == success_probability_exact(5, 0.3, 4)
+    success_probability_exact(5, np.arange(64) / 64, 4)
+    assert built == []
+    run(ExperimentSpec(scenario="sweep-phi", n_bits=2, output_path=str(tmp_path / "s.csv")))
+    assert built == [(2, g / 64) for g in range(64)]
+
+
+def test_each_grid_scan_makes_one_exact_call(monkeypatch, tmp_path):
+    calls = []
+    real = protocol.success_probability_exact
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(protocol, "success_probability_exact", counting)
+    monkeypatch.setattr(harness, "success_probability_exact", counting)
+    min_success_on_grid(4, 3, 256)
+    assert len(calls) == 1
+    for scenario, delta in (("sweep-phi", None), ("boost", 0.2)):
+        calls.clear()
+        spec = ExperimentSpec(scenario=scenario, n_bits=3, delta=delta, trials=2,
+                              output_path=str(tmp_path / f"{scenario}.csv"))
+        run(spec)
+        assert len(calls) == 1
 
 
 def test_run_sync_offgrid_matches_exact_distribution():
@@ -246,7 +322,8 @@ def test_run_sync_refuses_an_offset_that_lost_its_phase_bits():
 
 
 def test_min_success_on_grid_needs_a_grid_point():
-    for grid_points in (0, -1):
+    # 2.5 would otherwise scan 3 phases at g / 2.5
+    for grid_points in (0, -1, 2.5):
         with pytest.raises(ValueError, match="grid_points"):
             min_success_on_grid(3, 3, grid_points)
 
