@@ -13,7 +13,9 @@ Success for a target precision of n bits means circular distance strictly
 below 2**-n between the estimate and omega0*T mod 1.  On n-bit grid phases
 the estimate is exact; off the grid a bare register succeeds with
 probability at least 4/pi**2, and widening the register per
-`boosted_register_size` pushes the failure rate below a chosen delta.
+`boosted_register_size` pushes the failure rate below a chosen delta.  Every
+caller, the harness too, meets the admission rules here: `ProtocolConfig`'s
+delta range and MAX_REGISTER_QUBITS, and `run_sync`'s `loses_phase_bits`.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ import numpy as np
 
 from .clock import ClockModel, ResourceLedger, tqh_oracle
 from .qsim import StateVector, basis_state, hadamard, inverse_qft, measure, qft
+
+# Widest register n' simulated: with the photon, 2**25 amplitudes (512 MiB) at 24.
+MAX_REGISTER_QUBITS = 24
 
 # Bits that omega0 * offset_T must carry below the n' decoded ones, so that
 # rounding the product moves the phase by under 2**-11 of a register bin.
@@ -44,6 +49,11 @@ def within_precision(phase_hat, phi, n_bits: int):
     """The success rule: phase_hat lies at circular distance strictly below
     2**-n_bits from phi.  Elementwise on arrays."""
     return circular_distance(phase_hat, phi) < 2.0 ** (-n_bits)
+
+
+def loses_phase_bits(phase: float, n_prime: int) -> bool:
+    """Whether the float omega0 * T keeps fewer than n' + PHASE_GUARD_BITS fractional bits."""
+    return math.ulp(phase) > 2.0 ** -(n_prime + PHASE_GUARD_BITS)
 
 
 def boosted_register_size(n_bits: int, delta: float) -> int:
@@ -71,8 +81,9 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.n_bits < 1:
             raise ValueError("n_bits must be at least 1")
-        if self.delta is not None and not (0.0 < self.delta < 0.5):
-            raise ValueError(f"delta must lie in (0, 1/2), got {self.delta!r}")
+        if self.effective_register > MAX_REGISTER_QUBITS:
+            raise ValueError(f"delta={self.delta!r} and n_bits={self.n_bits} need {self.effective_register} "
+                             f"register qubits, more than the {MAX_REGISTER_QUBITS} simulated")
 
     @property
     def effective_register(self) -> int:
@@ -162,10 +173,10 @@ def run_sync(
     Spends exactly one oracle query on a register of config.effective_register
     qubits.  phase_hat is raw_m / 2**n' folded for the photon branch and
     rounded to the nearest n_bits-bit fraction; T_hat = phase_hat / omega0.
-    Raises ValueError if omega0 * offset_T keeps < n' + PHASE_GUARD_BITS phase bits.
+    Raises ValueError, naming offset_T, if omega0 * offset_T `loses_phase_bits`.
     """
     n_prime = config.effective_register
-    if math.ulp(clock.omega0 * clock.offset_T) > 2.0 ** -(n_prime + PHASE_GUARD_BITS):
+    if loses_phase_bits(clock.omega0 * clock.offset_T, n_prime):
         raise ValueError(f"offset_T={clock.offset_T!r} leaves omega0 * offset_T too few phase bits")
     reg = range(n_prime)
     photon_out = measure(_queried_state(clock, n_prime, ledger), [n_prime], rng)

@@ -4,8 +4,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ticksync import ExperimentSpec, __version__, run, success_probability_exact
+from ticksync import (
+    ClockModel, ExperimentSpec, ProtocolConfig, __version__, child_rng, run, run_sync,
+    success_probability_exact,
+)
 from ticksync.cli import main, parse_config
+from ticksync.harness import _format_cell
 
 
 def _spec(tmp_path, **kw):
@@ -271,8 +275,10 @@ def test_grid_scan_cap_refuses_scans_that_cannot_finish(capsys):
     # sweep-phi at n = 20: 2**24 exact evaluations on 2**21-amplitude states
     with pytest.raises(ValueError, match="n=20"):
         ExperimentSpec(scenario="sweep-phi", n_bits=20)
+    # boost sums 2**(n' - n + 1) kernel weights per phase: its edge is n' = 19
+    ExperimentSpec(scenario="boost", n_bits=15, delta=0.05)
     for argv in (["--scenario", "sweep-phi", "--n", "10"],
-                 ["--scenario", "boost", "--n", "8", "--delta", "0.05"]):
+                 ["--scenario", "boost", "--n", "16", "--delta", "0.05"]):
         with pytest.raises(SystemExit) as err:
             parse_config(argv)
         assert err.value.code == 2
@@ -283,19 +289,31 @@ def test_grid_scan_cap_refuses_scans_that_cannot_finish(capsys):
 
 
 @pytest.mark.parametrize(
-    "scenario,t_true,accepted",
+    "args,t_true,accepted",
     [("sync", "1e17", False), ("lemma1", "-1e17", False), ("sync", "0.3125", True),
-     ("sync", "1000", True), ("lemma1", "1000", True)],
+     ("sync", "1000", True), ("lemma1", "1000", True),
+     # the edge: omega0 * t_true = 2**(43 - n') has an ulp of 2**-(n' + 9)
+     ("sync", repr(math.nextafter(2.0**39, 0)), True), ("sync", repr(2.0**39), False),
+     ("sync --n 10 --delta 0.05", repr(math.nextafter(2.0**29, 0)), True),
+     ("sync --n 10 --delta 0.05", repr(2.0**29), False)],
 )
-def test_offset_must_keep_its_phase_bits(scenario, t_true, accepted):
+def test_offset_must_keep_its_phase_bits(args, t_true, accepted):
     # ulp(1e17) is 16: omega0 * t_true keeps no fractional phase bit at all
-    argv = ["--scenario", scenario, f"--t-true={t_true}"]
+    base = ["--scenario", *args.split()]
+    argv = [*base, f"--t-true={t_true}"]
+    spec = parse_config(base)
+    config = ProtocolConfig(spec.n_bits, spec.delta)  # n' = 4, or 14 at n = 10
+    clock = ClockModel(float(t_true), 1.0)
     if accepted:
         assert parse_config(argv).t_true == float(t_true)
+        assert 0 <= run_sync(config, clock, child_rng(1, 0)).raw_m < 1 << config.effective_register
         return
     with pytest.raises(SystemExit) as err:
         parse_config(argv)
     assert err.value.code == 2
+    # run_sync holds library callers to the same guard
+    with pytest.raises(ValueError, match="offset_T"):
+        run_sync(config, clock, child_rng(1, 0))
 
 
 # (setting key, text, ExperimentSpec field, parsed value), one row per field
@@ -364,3 +382,6 @@ def test_float_cells_round_trip_exactly(tmp_path):
         phi = float(row[2])
         # repr round-trip: writing and reparsing loses nothing
         assert repr(phi) == row[2]
+    # numpy scalars write as their Python values
+    assert _format_cell(np.float64(0.1)) == "0.1"
+    assert _format_cell(np.bool_(True)) == "1"

@@ -65,13 +65,26 @@ def test_boosted_register_size_validation():
             boosted_register_size(3, bad)
 
 
-def test_protocol_config_effective_register():
+def test_protocol_config_effective_register(monkeypatch):
     assert ProtocolConfig(5).effective_register == 5
     assert ProtocolConfig(4, 0.1).effective_register == 7
     with pytest.raises(ValueError):
         ProtocolConfig(0)
     with pytest.raises(ValueError):
         ProtocolConfig(3, 0.6)
+    # the register cap: n' = 24 is the widest simulated, whatever widens it
+    assert ProtocolConfig(24).effective_register == 24
+    assert ProtocolConfig(4, 5e-7).effective_register == 24
+
+    def no_state(*args):
+        raise AssertionError("a refused register reached basis_state")
+
+    monkeypatch.setattr(protocol, "basis_state", no_state)
+    with pytest.raises(ValueError, match="n_bits"):
+        ProtocolConfig(25)
+    for delta in (4e-7, 1e-8):  # n' = 25 and 30
+        with pytest.raises(ValueError, match=f"delta={delta!r}"):
+            run_sync(ProtocolConfig(4, delta), ClockModel(0.3, 1.0), child_rng(1, 0))
 
 
 def test_nearest_grid_index_matches_exact_rationals():
