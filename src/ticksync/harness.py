@@ -286,15 +286,15 @@ def _scenario_reduction(spec: ExperimentSpec):
         clock, sample_transit = make_world(T, spec.omega0, stream)
         pair_data.append((clock, sample_transit()))
 
+    photon = hadamard(basis_state(1, 0), 0)
     overall_handshake = 0.0
     for k in range(1, max_k + 1):
+        pinned = hadamard(basis_state(reg_bits + 1, k), reg_bits)
         dev = 0.0
         for clock, transit in pair_data:
-            photon = hadamard(basis_state(1, 0), 0)
             via_handshake = handshake_simulate(clock, k, photon, transit)
-            pinned = hadamard(basis_state(reg_bits + 1, k), reg_bits)
-            pinned = tqh_oracle(clock, pinned, range(reg_bits), reg_bits)
-            oracle_amps = pinned.amps[[k, k + (1 << reg_bits)]]
+            queried = tqh_oracle(clock, pinned, range(reg_bits), reg_bits)
+            oracle_amps = queried.amps[[k, k + (1 << reg_bits)]]
             dev = max(dev, float(np.max(np.abs(via_handshake.amps - oracle_amps))))
         overall_handshake = max(overall_handshake, dev)
         rows.append(("handshake_vs_oracle", k, float(dev)))
@@ -307,7 +307,6 @@ def _scenario_reduction(spec: ExperimentSpec):
         dev = 0.0
         for phi in phases:
             clock = ClockModel(offset_T=phi / spec.omega0, omega0=spec.omega0)
-            photon = hadamard(basis_state(1, 0), 0)
             repeated = simulate_rate_k_with_unit_rate(clock, k, photon, 0)
             direct = fixed_rate_query(clock, photon, 0, k)
             dev = max(dev, float(np.max(np.abs(repeated.amps - direct.amps))))
@@ -370,15 +369,14 @@ def _format_cell(value) -> str:
 
 
 def _write_csv(spec: ExperimentSpec, extras, columns, rows) -> None:
-    lines = [f"# ticksync {__version__}"]
     settings = [(f.metadata["key"], getattr(spec, f.name)) for f in fields(spec)]
-    lines += [f"# {key} = {_format_cell(value)}" for key, value in [*settings, *extras]]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
-    text = "\n".join(lines) + "\n"
+    header = [f"# ticksync {__version__}"]
+    header += [f"# {key} = {_format_cell(value)}" for key, value in [*settings, *extras]]
+    header.append(",".join(columns))
+    # each row goes to the file as it is formatted; the text is never held whole
     with open(spec.output_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+        handle.writelines(line + "\n" for line in header)
+        handle.writelines(",".join(map(_format_cell, row)) + "\n" for row in rows)
 
 
 def run(spec: ExperimentSpec) -> int:

@@ -1,8 +1,9 @@
 """Phase-estimation synchronization over the ticking-qubit channel.
 
 One protocol run spends exactly one oracle query: prepare a uniform rate
-register with a Fourier transform, put the photon on the equator, make the
-single coherent query, measure the photon, then invert the Fourier
+register with a Fourier transform and put the photon on the equator (a
+state that does not depend on the offset, so it is written directly), make
+the single coherent query, measure the photon, then invert the Fourier
 transform and read the register.  A photon outcome of 1 lands on the
 conjugate phase branch, which post-processing folds back by negating the
 register value mod 2**n'.  This module is the one place that circuit
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clock import ClockModel, ResourceLedger, tqh_oracle
-from .qsim import StateVector, basis_state, hadamard, inverse_qft, measure, qft
+from .qsim import _INV_SQRT2, StateVector, inverse_qft, measure
 
 # Widest register n' simulated: with the photon, 2**25 amplitudes (512 MiB) at 24.
 MAX_REGISTER_QUBITS = 24
@@ -127,14 +128,18 @@ def _queried_state(
 ) -> StateVector:
     """Register and photon right after the oracle: the circuit of every run.
 
-    Register qubits 0..n_prime-1 go through a Fourier transform, photon
-    qubit n_prime through a Hadamard, then `repeats` coherent queries.
+    The circuit Fourier-transforms register qubits 0..n_prime-1 from |0...0>
+    and puts photon qubit n_prime on the equator, then makes `repeats`
+    coherent queries.  The clock enters only through the queries, so the
+    prepared state is written directly: every amplitude is
+    (1/sqrt(2**n')) * _INV_SQRT2.  That is exactly what `qft` and `hadamard`
+    compute, bit for bit: the transform of |0...0> gives every register
+    value the one amplitude 1 times its orthonormal factor 1/sqrt(2**n'),
+    and the Hadamard adds or subtracts a zero before scaling by _INV_SQRT2.
     """
-    reg = range(n_prime)
-    state = basis_state(n_prime + 1, 0)
-    state = qft(state, reg)
-    state = hadamard(state, n_prime)
-    return tqh_oracle(clock, state, reg, n_prime, ledger, repeats)
+    amp = (1.0 / math.sqrt(2**n_prime)) * _INV_SQRT2
+    prepared = StateVector(n_prime + 1, np.full(2 << n_prime, amp, dtype=np.complex128), copy=False)
+    return tqh_oracle(clock, prepared, range(n_prime), n_prime, ledger, repeats)
 
 
 def _final_joint_state(n_prime: int, phi: float) -> StateVector:

@@ -17,9 +17,10 @@ grows as F falls.  Three regimes are covered:
   is built once per grid phase and effort; every run of the window still
   charges its 2**e queries and measures the photon and the register.
 * F = 1: no usable quantum phase, only the fixed unit-rate observable.
-  A two-quadrature sampling estimator inverts the outcome frequencies;
-  the sample count doubles from 16 to 2**15 until the target precision is
-  reliably met.
+  A two-quadrature sampling estimator draws from the fringes
+  cos^2(2*pi*phi) and cos^2(2*pi*phi + pi/4), written in closed form, and
+  inverts the outcome frequencies; the sample count doubles from 16 to
+  2**15 until the target precision is reliably met.
 
 Both escalations share one scoring loop, `_scored_point`, which prepares
 each grid phase once per effort and grades the effort by its worst
@@ -44,15 +45,7 @@ import numpy as np
 
 from .clock import ClockModel, ResourceLedger, fixed_rate_query
 from .protocol import _fold_conjugate, _queried_state, within_precision
-from .qsim import (
-    StateVector,
-    basis_state,
-    diagonal_phase,
-    hadamard,
-    inverse_qft,
-    measure,
-    z_phase,
-)
+from .qsim import StateVector, basis_state, diagonal_phase, hadamard, inverse_qft, measure
 
 # the worst per-phase hit rate a point must reach, and the efforts tried in
 # turn to reach it: majority passes for F >= 2, sample counts for F = 1
@@ -106,35 +99,30 @@ def single_rate_state(clock: ClockModel) -> StateVector:
     return hadamard(state, 0)
 
 
-def _quadrature_state(clock: ClockModel) -> StateVector:
-    # extra eighth-turn rotation moves the fringe onto sin(4*pi*phi)
-    state = basis_state(1, 0)
-    state = hadamard(state, 0)
-    state = fixed_rate_query(clock, state, 0, 1)
-    state = z_phase(state, 0, np.pi / 4.0)
-    return hadamard(state, 0)
-
-
 def classical_estimate(
     clock: ClockModel, samples: int, rng: np.random.Generator
 ) -> tuple[float, ResourceLedger]:
     """Estimate the offset from repeated unit-rate measurements.
 
-    Draws `samples` shots from the direct fringe and `samples` from its
-    quadrature, inverting (cos, sin) of 4*pi*phi via arccos with the sign
-    of the sine picking the half-interval.  The observable only determines
-    omega0*T mod 1/2, so estimates live in [0, 1/2); callers with phases in
-    the upper half see the folded value.
+    Draws `samples` shots from the direct fringe, p0 = cos^2(2*pi*phi), and
+    `samples` from its quadrature, p0 = cos^2(2*pi*phi + pi/4), phi =
+    clock.phi_star: `single_rate_state` and that circuit with an eighth-turn
+    z_phase before the last Hadamard, in closed form.  It inverts (cos, sin)
+    of 4*pi*phi via arccos, the sign of the sine picking the half-interval.
+    The observable only determines omega0*T mod 1/2, so estimates live in
+    [0, 1/2); callers with phases in the upper half see the folded value.
 
     Returns (T_hat, ledger); the ledger records 2*samples unit-rate queries.
+    samples must be a positive integer; a bool or float raises ValueError.
     """
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples!r}")
     samples = int(samples)
-    if samples < 1:
-        raise ValueError("need at least one sample")
     ledger = ResourceLedger()
 
-    p_direct = float(single_rate_state(clock).probabilities()[0])
-    p_quad = float(_quadrature_state(clock).probabilities()[0])
+    angle = 2.0 * math.pi * clock.phi_star
+    p_direct = math.cos(angle) ** 2
+    p_quad = math.cos(angle + math.pi / 4.0) ** 2
     # each shot is one independent query; a binomial draw aggregates them
     hits_direct = int(rng.binomial(samples, p_direct))
     hits_quad = int(rng.binomial(samples, p_quad))

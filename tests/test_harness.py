@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -9,7 +10,7 @@ from ticksync import (
     success_probability_exact,
 )
 from ticksync.cli import main, parse_config
-from ticksync.harness import _format_cell
+from ticksync.harness import _format_cell, _write_csv
 
 
 def _spec(tmp_path, **kw):
@@ -200,6 +201,22 @@ def test_run_reports_unwritable_path(tmp_path, capsys):
     )
     assert run(spec) == 1
     assert "cannot write" in capsys.readouterr().err
+
+
+def test_csv_rows_are_written_as_they_are_formatted(tmp_path):
+    # no copy of the text is held: the write's traced peak stays far below the file size
+    spec = _spec(tmp_path, output_path="w.csv")
+    rows = [(i, 0.1 * i, None, "x") for i in range(50_000)]
+    tracemalloc.start()
+    try:
+        _write_csv(spec, (("extra", 1),), ("a", "b", "c", "d"), rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = (tmp_path / "w.csv").read_bytes().decode()
+    assert text.endswith("\n49999,4999.900000000001,,x\n") and "\r" not in text
+    assert text.count("\n") == len(rows) + len(fields(spec)) + 3
+    assert peak < len(text) / 8
 
 
 def test_parse_config_defaults_and_flags():

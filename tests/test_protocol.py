@@ -76,10 +76,10 @@ def test_protocol_config_effective_register(monkeypatch):
     assert ProtocolConfig(24).effective_register == 24
     assert ProtocolConfig(4, 5e-7).effective_register == 24
 
-    def no_state(*args):
-        raise AssertionError("a refused register reached basis_state")
+    def no_state(*args, **kwargs):
+        raise AssertionError("a refused register reached a state")
 
-    monkeypatch.setattr(protocol, "basis_state", no_state)
+    monkeypatch.setattr(protocol, "StateVector", no_state)
     with pytest.raises(ValueError, match="n_bits"):
         ProtocolConfig(25)
     for delta in (4e-7, 1e-8):  # n' = 25 and 30
@@ -254,21 +254,22 @@ def test_worst_case_stays_above_constant_floor():
 
 
 def test_conjugate_branch_mirrors_register_distribution():
-    n_prime = 4
-    phi = 0.23
-    reg = range(n_prime)
-    state = basis_state(n_prime + 1, 0)
-    state = qft(state, reg)
-    state = hadamard(state, n_prime)
-    thetas = 2 * np.pi * ((np.arange(1 << n_prime) * phi) % 1.0)
-    state = indexed_phase(state, reg, n_prime, thetas)
-    state = inverse_qft(state, reg)
-    probs = state.probabilities()
-    size = 1 << n_prime
-    branch0 = probs[:size]
-    branch1 = probs[size:]
-    reflected = np.array([branch1[(size - j) % size] for j in range(size)])
-    assert np.allclose(branch0, reflected, atol=1e-12)
+    # the circuit gate by gate; _final_joint_state writes its prepared state directly
+    for n_prime in (1, 4, 10, 14):
+        for phi in (0.23, 0.0, 0.5 + 2**-9, 0.7071067811865476):
+            reg = range(n_prime)
+            state = basis_state(n_prime + 1, 0)
+            state = qft(state, reg)
+            state = hadamard(state, n_prime)
+            thetas = 2 * np.pi * ((np.arange(1 << n_prime) * phi) % 1.0)
+            state = indexed_phase(state, reg, n_prime, thetas)
+            state = inverse_qft(state, reg)
+            assert _final_joint_state(n_prime, phi).amps.tobytes() == state.amps.tobytes()
+            probs = state.probabilities()
+            size = 1 << n_prime
+            branch1 = probs[size:]
+            reflected = branch1[(size - np.arange(size)) % size]
+            assert np.allclose(probs[:size], reflected, atol=1e-12)
 
 
 def test_photon_outcome_is_fair():

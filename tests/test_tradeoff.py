@@ -21,6 +21,7 @@ from ticksync import (
     single_rate_state,
     tqh_oracle,
     tradeoff_sweep,
+    z_phase,
 )
 from ticksync.protocol import _queried_state
 from ticksync.tradeoff import _window_exponents, _windowed_estimate
@@ -57,8 +58,55 @@ def test_classical_estimate_ledger_and_validation():
     assert ledger.max_rate_index == 1
     with pytest.raises(ValueError):
         classical_estimate(ClockModel(0.1, 1.0), 0, child_rng(0))
+    # a float or a bool is not a shot count, even where int() would take it
+    for samples in (2.9, True):
+        with pytest.raises(ValueError, match="samples"):
+            classical_estimate(ClockModel(0.1, 1.0), samples, child_rng(0))
+    t_np, ledger = classical_estimate(ClockModel(0.1, 1.0), np.int64(500), child_rng(2))
+    assert (t_np, ledger.queries_Q) == (t_hat, 1000)
+    assert type(ledger.queries_Q) is int
 
 
+def _circuit_classical_estimate(clock, samples, rng):
+    # both fringes read off gate-built 1-qubit statevectors, then the same
+    # draws and inversion as classical_estimate
+    quad = hadamard(basis_state(1, 0), 0)
+    quad = z_phase(fixed_rate_query(clock, quad, 0, 1), 0, np.pi / 4.0)
+    quad = hadamard(quad, 0)
+    p_direct = float(single_rate_state(clock).probabilities()[0])
+    p_quad = float(quad.probabilities()[0])
+    hits_direct = int(rng.binomial(samples, p_direct))
+    hits_quad = int(rng.binomial(samples, p_quad))
+    ledger = ResourceLedger()
+    ledger.record_query(1, count=2 * samples)
+    cos_hat = 2.0 * hits_direct / samples - 1.0
+    sin_hat = 1.0 - 2.0 * hits_quad / samples
+    folded = math.acos(min(1.0, max(-1.0, cos_hat))) / (4.0 * math.pi)
+    phi_hat = (folded if sin_hat >= 0.0 else 0.5 - folded) % 0.5
+    return phi_hat / clock.omega0, ledger
+
+
+class _RecordedDraws:
+    # a generator that notes the probability of every binomial draw it makes
+    def __init__(self, rng):
+        self.rng, self.p = rng, []
+
+    def binomial(self, n, p):
+        self.p.append(p)
+        return self.rng.binomial(n, p)
+
+
+def test_classical_estimate_matches_the_circuit_fringes():
+    phis = np.random.default_rng(31).random(200).tolist()
+    for samples in (16, 1024, 32768):
+        for i, phi in enumerate(phis):
+            clock = ClockModel(phi / 3.0, 3.0)
+            rng, ref_rng = (_RecordedDraws(child_rng(32, samples, i)) for _ in range(2))
+            assert classical_estimate(clock, samples, rng) == _circuit_classical_estimate(
+                clock, samples, ref_rng
+            )
+            assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
+            assert np.max(np.abs(np.subtract(rng.p, ref_rng.p))) <= 1e-15
 def test_classical_estimate_converges_both_halves():
     # one phase per arccos branch; 10^4 samples pins each to ~1e-2
     for phi in (1 / 16, 0.3):
