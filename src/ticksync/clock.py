@@ -89,6 +89,14 @@ class ResourceLedger:
             self.max_rate_index = rate_index
 
 
+def _count(name: str, value, minimum: int) -> int:
+    """value as an int, if it is a Python or numpy integer (not a bool) of at
+    least minimum; a float is refused, not truncated.  Raises ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _turns(k: int, cycles: float) -> float:
     """Fractional part of k*cycles, reducing cycles mod 1 before the product."""
     return (k * (cycles % 1.0)) % 1.0
@@ -109,17 +117,24 @@ def tqh_oracle(
     same diagonal rotation, so `repeats` of them are applied as one rotation
     by `repeats` times the angle.  Each still costs one query at rate
     2**len(register)-1 (the largest branch present), recorded on the ledger
-    when one is given.
+    when one is given.  repeats must be a positive integer; a bool or float
+    raises ValueError.
+
+    The turn table k * phi_star, and its `repeats` multiple, is reduced mod 1
+    in place as t - floor(t): for t >= 0 that is exact, the same value as
+    t % 1.0 at a fraction of the cost.
     """
-    repeats = int(repeats)
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
+    repeats = _count("repeats", repeats, 1)
     reg = tuple(int(q) for q in register)
     count = 1 << len(reg)
-    turns = (np.arange(count) * clock.phi_star) % 1.0
+    turns = np.arange(count, dtype=np.float64)
+    turns *= clock.phi_star
+    turns -= np.floor(turns)
     if repeats > 1:
-        turns = (repeats * turns) % 1.0
-    out = indexed_phase(state, reg, photon, 2.0 * np.pi * turns)
+        turns *= repeats
+        turns -= np.floor(turns)
+    turns *= 2.0 * np.pi
+    out = indexed_phase(state, reg, photon, turns)
     if ledger is not None:
         ledger.record_query(count - 1, count=repeats)
     return out
@@ -132,10 +147,11 @@ def fixed_rate_query(
     rate_index: int,
     ledger: ResourceLedger | None = None,
 ) -> StateVector:
-    """One oracle query with the rate register classically pinned to rate_index."""
-    rate_index = int(rate_index)
-    if rate_index < 0:
-        raise ValueError("rate index must be nonnegative")
+    """One oracle query with the rate register classically pinned to rate_index.
+
+    rate_index must be a nonnegative integer; a bool or float raises ValueError.
+    """
+    rate_index = _count("rate_index", rate_index, 0)
     theta = 2.0 * np.pi * _turns(rate_index, clock.phi_star)
     out = z_phase(state, photon, theta)
     if ledger is not None:
@@ -161,13 +177,12 @@ def handshake_simulate(
 
     Raises ValueError if the record disagrees with the clock offset by more
     than TRANSIT_CONSISTENCY_TOL seconds plus TRANSIT_CONSISTENCY_ULPS ulps of
-    the largest time involved, or if the photon is not one qubit.
+    the largest time involved, if the photon is not one qubit, or if k is
+    not a nonnegative integer (a bool or float included).
     """
     if photon_state.num_qubits != 1:
         raise ValueError("handshake photon must be a single qubit")
-    k = int(k)
-    if k < 0:
-        raise ValueError("tick rate index must be nonnegative")
+    k = _count("k", k, 0)
     gap = (transit.t_B - transit.t_A) - (transit.t_tr + clock.offset_T)
     scale = max(abs(transit.t_A), abs(transit.t_B), transit.t_tr, abs(clock.offset_T))
     if abs(gap) > TRANSIT_CONSISTENCY_TOL + TRANSIT_CONSISTENCY_ULPS * math.ulp(scale):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clock import ClockModel, ResourceLedger, tqh_oracle
+from .clock import ClockModel, ResourceLedger, _count, tqh_oracle
 from .qsim import _INV_SQRT2, StateVector, inverse_qft, measure
 
 # Widest register n' simulated: with the photon, 2**25 amplitudes (512 MiB) at 24.
@@ -242,9 +242,9 @@ def photon_zero_probability(n_prime: int, phi: float) -> float:
 
 def min_success_on_grid(n_prime: int, n_bits: int, grid_points: int) -> tuple[float, float]:
     """Scan phi = g / grid_points and return (worst phi, worst probability),
-    the first minimum on ties."""
-    if not isinstance(grid_points, (int, np.integer)) or grid_points < 1:
-        raise ValueError(f"grid_points must be a positive integer, got {grid_points!r}")
+    the first minimum on ties.  grid_points must be a positive integer; a
+    bool or float raises ValueError."""
+    grid_points = _count("grid_points", grid_points, 1)
     phis = np.arange(grid_points) / grid_points
     probs = success_probability_exact(n_prime, phis, n_bits)
     return float(phis[np.argmin(probs)]), float(probs.min())

@@ -10,10 +10,16 @@ passed by the caller; nothing in this module reads a global stream.
 Intended scale is a couple dozen qubits at most, as plain dense
 ``complex128`` vectors.  Small registers cost bookkeeping more than
 arithmetic, so a register is validated once per (num_qubits, register),
-index maps are cached per (num_qubits, register) as read-only arrays,
 Hadamards work on reshaped views, and the phase gates share one kernel that
-exponentiates per register value, not per amplitude.  Every result still
-passes the constructor's checks, without a second copy.
+multiplies by a table of unit factors per register value, not per
+amplitude.  `indexed_phase` evaluates one cosine and one sine per register
+value and gives the photon-|1> half their conjugate.  When the named qubits
+are the top ones in ascending order, the (register, rest) block of the
+amplitudes is their reshape, so the Fourier transforms and `measure` use
+that view, and a phase key over every qubit in order is used as it is;
+other registers go through index maps cached per (num_qubits, register) as
+read-only arrays.  Each path gives the same bits.
+Every result still passes the constructor's checks, without a second copy.
 Repeated oracle queries are fused one layer up, in `clock.tqh_oracle`.
 """
 
@@ -140,6 +146,19 @@ def _gather_indices(num_qubits: int, register: tuple[int, ...]) -> np.ndarray:
     return joint
 
 
+def _block(state: StateVector, reg: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray | None]:
+    """(register, rest) block of the amplitudes and its gather map.
+
+    When reg names the top qubits in ascending order, row v, column c is
+    amplitude v * 2**len(rest) + c: the block is a reshape view and the map is None.
+    """
+    n = state.num_qubits
+    if reg == tuple(range(n - len(reg), n)):
+        return state.amps.reshape(1 << len(reg), -1), None
+    joint = _gather_indices(n, reg)
+    return state.amps[joint], joint
+
+
 def hadamard(state: StateVector, target: int) -> StateVector:
     """Apply a Hadamard to one qubit."""
     target = _check_qubit(state, target, role="target")
@@ -152,10 +171,17 @@ def hadamard(state: StateVector, target: int) -> StateVector:
     return StateVector(state.num_qubits, new.reshape(-1), copy=False)
 
 
-def _diagonal(state: StateVector, qubits: tuple[int, ...], angles: np.ndarray) -> StateVector:
-    """Shared phase kernel: amplitude i gains e^{i*angles[v]}, v = value of qubits at i."""
-    phases = np.exp(1j * angles)[_register_values(state.num_qubits, qubits)]
-    return StateVector(state.num_qubits, state.amps * phases, copy=False)
+def _diagonal(state: StateVector, qubits: tuple[int, ...], factors: np.ndarray) -> StateVector:
+    """Shared phase kernel: amplitude i gains factors[v], v = value of qubits at i.
+
+    When qubits are all the qubits in ascending order, v is i itself and the
+    table is used as it is; otherwise it is gathered through the cached map.
+    """
+    if qubits != tuple(range(state.num_qubits)):
+        # bound to a name: numpy may reuse an unnamed temporary as the output
+        # with the operands swapped, and a complex product then rounds differently
+        factors = factors[_register_values(state.num_qubits, qubits)]
+    return StateVector(state.num_qubits, state.amps * factors, copy=False)
 
 
 def z_phase(state: StateVector, target: int, theta: float) -> StateVector:
@@ -167,7 +193,7 @@ def z_phase(state: StateVector, target: int, theta: float) -> StateVector:
     theta = float(theta)
     if not np.isfinite(theta):
         raise ValueError("theta must be finite")
-    return _diagonal(state, (target,), np.array([theta, -theta]))
+    return _diagonal(state, (target,), np.exp(1j * np.array([theta, -theta])))
 
 
 def _evaluate_phases(theta_of_k: PhaseMap, count: int) -> np.ndarray:
@@ -207,8 +233,14 @@ def indexed_phase(
     if photon in reg:
         raise ValueError(f"photon qubit {photon} overlaps the register {reg}")
     thetas = _evaluate_phases(theta_of_k, 1 << len(reg))
-    # the photon is the top bit of the key: photon |1> reads the negated half
-    return _diagonal(state, reg + (photon,), np.concatenate([thetas, -thetas]))
+    # the photon is the top bit of the key: photon |1> gains e^{-i*theta},
+    # the conjugate of the |0> factor cos(theta) + i*sin(theta)
+    factors = np.empty(2 * thetas.size, dtype=np.complex128)
+    half = factors[: thetas.size]
+    np.cos(thetas, out=half.real)
+    np.sin(thetas, out=half.imag)
+    np.conjugate(half, out=factors[thetas.size :])
+    return _diagonal(state, reg + (photon,), factors)
 
 
 def diagonal_phase(
@@ -216,16 +248,18 @@ def diagonal_phase(
 ) -> StateVector:
     """Diagonal rotation |k> -> e^{i*theta_of_k(k)} |k> on a register."""
     reg = _check_register(state.num_qubits, tuple(register))
-    return _diagonal(state, reg, _evaluate_phases(theta_of_k, 1 << len(reg)))
+    return _diagonal(state, reg, np.exp(1j * _evaluate_phases(theta_of_k, 1 << len(reg))))
 
 
 def _fourier(state: StateVector, register: Sequence[int], inverse: bool) -> StateVector:
     reg = _check_register(state.num_qubits, tuple(register))
-    joint = _gather_indices(state.num_qubits, reg)
-    block = state.amps[joint]
+    block, joint = _block(state, reg)
     block = (np.fft.fft if inverse else np.fft.ifft)(block, axis=0, norm="ortho")
-    new = np.empty_like(state.amps)
-    new[joint] = block
+    if joint is None:
+        new = block.reshape(-1)
+    else:
+        new = np.empty_like(state.amps)
+        new[joint] = block
     return StateVector(state.num_qubits, new, copy=False)
 
 
@@ -264,8 +298,7 @@ def measure(
         rng: explicit random stream used for the Born-rule draw.
     """
     reg = _check_register(state.num_qubits, tuple(qubits))
-    joint = _gather_indices(state.num_qubits, reg)
-    block = state.amps[joint]
+    block, joint = _block(state, reg)
     weights = (np.abs(block) ** 2).sum(axis=1)
     # scale the draw by the realized total instead of renormalizing weights
     draw = rng.random() * float(weights.sum())
@@ -273,7 +306,7 @@ def measure(
     value = min(value, weights.size - 1)
 
     if len(reg) == state.num_qubits:
-        global_index = int(joint[value, 0])
+        global_index = value if joint is None else int(joint[value, 0])
         amp = state.amps[global_index]
         new = np.zeros_like(state.amps)
         new[global_index] = amp / abs(amp)

@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clock import ClockModel, ResourceLedger, fixed_rate_query
+from .clock import ClockModel, ResourceLedger, _count, fixed_rate_query
 from .protocol import _fold_conjugate, _queried_state, within_precision
 from .qsim import StateVector, basis_state, diagonal_phase, hadamard, inverse_qft, measure
 
@@ -115,9 +115,7 @@ def classical_estimate(
     Returns (T_hat, ledger); the ledger records 2*samples unit-rate queries.
     samples must be a positive integer; a bool or float raises ValueError.
     """
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples!r}")
-    samples = int(samples)
+    samples = _count("samples", samples, 1)
     ledger = ResourceLedger()
 
     angle = 2.0 * math.pi * clock.phi_star
@@ -146,11 +144,10 @@ def simulate_rate_k_with_unit_rate(
     """Reproduce one rate-k query as k consecutive unit-rate queries.
 
     The k phase kicks compose to the rate-k rotation exactly, at a cost of
-    k queries of rate index 1 on the ledger.  k must be at least 1.
+    k queries of rate index 1 on the ledger.  k must be a positive integer;
+    a bool or float raises ValueError.
     """
-    k = int(k)
-    if k < 1:
-        raise ValueError("rate multiplier must be at least 1")
+    k = _count("k", k, 1)
     out = state
     for _ in range(k):
         out = fixed_rate_query(clock, out, photon, 1, ledger)

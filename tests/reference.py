@@ -96,3 +96,82 @@ def random_state(num_qubits: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
     return raw / np.linalg.norm(raw)
+
+
+def key_values(num_qubits: int, qubits) -> np.ndarray:
+    """Value of `qubits` (qubits[0] is the LSB) at every basis index, by bit arithmetic."""
+    index = np.arange(1 << num_qubits)
+    value = np.zeros_like(index)
+    for pos, q in enumerate(qubits):
+        value |= ((index >> q) & 1) << pos
+    return value
+
+
+def plain_phase(amps: np.ndarray, num_qubits: int, qubits, angles) -> np.ndarray:
+    """Textbook diagonal: amps[i] * e^{i*angles[v]}, v = value of qubits at i."""
+    # bound to a name, as in qsim: numpy may otherwise reuse the unnamed gather
+    # as the output with the operands swapped, which rounds differently
+    factors = np.exp(1j * np.asarray(angles, dtype=float))[key_values(num_qubits, qubits)]
+    return amps * factors
+
+
+def plain_oracle(amps, num_qubits, register, photon, phi, repeats=1) -> np.ndarray:
+    """`repeats` queries at phase phi: turns (k * phi) % 1.0, photon |1> rotated by the negated angle."""
+    turns = (np.arange(1 << len(register)) * phi) % 1.0
+    if repeats > 1:
+        turns = (repeats * turns) % 1.0
+    angles = 2.0 * np.pi * turns
+    return plain_phase(amps, num_qubits, (*register, photon), np.concatenate([angles, -angles]))
+
+
+def block_indices(num_qubits: int, qubits) -> np.ndarray:
+    """Basis index of row v (value of qubits), column c (value of the other
+    qubits, ascending), by placing the bits one by one."""
+    rest = [q for q in range(num_qubits) if q not in qubits]
+
+    def place(values, positions):
+        index = np.zeros_like(values)
+        for pos, q in enumerate(positions):
+            index |= ((values >> pos) & 1) << q
+        return index
+
+    rows = place(np.arange(1 << len(qubits)), list(qubits))
+    return rows[:, None] | place(np.arange(1 << len(rest)), rest)[None, :]
+
+
+def gather_fourier(amps, num_qubits, register, inverse) -> np.ndarray:
+    """(Inverse) QFT on a register by gathering its block, transforming the rows and scattering back."""
+    joint = block_indices(num_qubits, register)
+    out = np.empty_like(amps)
+    out[joint] = (np.fft.fft if inverse else np.fft.ifft)(amps[joint], axis=0, norm="ortho")
+    return out
+
+
+def gather_measure(amps, num_qubits, qubits, rng) -> tuple[int, np.ndarray]:
+    """Measure qubits through a gathered block with qsim's sampling rule: one
+    uniform scaled by the weight total against the cumsum.  Returns the value
+    and the collapsed amplitudes."""
+    joint = block_indices(num_qubits, qubits)
+    block = amps[joint]
+    weights = (np.abs(block) ** 2).sum(axis=1)
+    draw = rng.random() * float(weights.sum())
+    value = min(int(weights.cumsum().searchsorted(draw, side="right")), weights.size - 1)
+    if len(qubits) == num_qubits:
+        collapsed = np.zeros_like(amps)
+        index = joint[value, 0]
+        collapsed[index] = amps[index] / abs(amps[index])
+        return value, collapsed
+    survivor = block[value]
+    return value, survivor / np.linalg.norm(survivor)
+
+
+def gather_sync_draw(n_prime: int, phi: float, rng) -> tuple[int, int]:
+    """(raw_m, photon_bit) of one protocol run, built from the plain oracle
+    and the gather forms above: prepared state, one query, photon
+    measurement, inverse QFT, register measurement, conjugate fold."""
+    reg = range(n_prime)
+    amps = np.full(2 << n_prime, (1.0 / math.sqrt(2**n_prime)) * (1.0 / math.sqrt(2.0)), dtype=complex)
+    amps = plain_oracle(amps, n_prime + 1, reg, n_prime, phi)
+    photon, amps = gather_measure(amps, n_prime + 1, [n_prime], rng)
+    m, _ = gather_measure(gather_fourier(amps, n_prime, reg, inverse=True), n_prime, reg, rng)
+    return ((1 << n_prime) - m) % (1 << n_prime) if photon else m, photon

@@ -119,6 +119,13 @@ def test_tqh_oracle_repeats_match_single_queries(repeats, width, offset, seed):
 def test_tqh_oracle_rejects_nonpositive_repeats():
     with pytest.raises(ValueError):
         tqh_oracle(ClockModel(0.3, 1.0), basis_state(2, 0), (0,), 1, repeats=0)
+    # a float or a bool is not a query count, even where int() would take it
+    for repeats in (2.9, True):
+        with pytest.raises(ValueError, match="repeats"):
+            tqh_oracle(ClockModel(0.3, 1.0), basis_state(2, 0), (0,), 1, ResourceLedger(), repeats)
+    ledger = ResourceLedger()
+    tqh_oracle(ClockModel(0.3, 1.0), basis_state(2, 0), (0,), 1, ledger, np.int64(2))
+    assert ledger.queries_Q == 2
 
 
 def test_fixed_rate_query_matches_z_phase():
@@ -132,6 +139,10 @@ def test_fixed_rate_query_matches_z_phase():
     assert ledger.max_rate_index == 5
     with pytest.raises(ValueError):
         fixed_rate_query(clock, state, 0, -1)
+    for rate_index in (2.9, True):
+        with pytest.raises(ValueError, match="rate_index"):
+            fixed_rate_query(clock, state, 0, rate_index, ResourceLedger())
+    assert fixed_rate_query(clock, state, 0, np.int64(5)).amps.tobytes() == out.amps.tobytes()
 
 
 def test_handshake_rate_zero_leaves_photon_unchanged():
@@ -173,6 +184,11 @@ def test_handshake_validation():
         handshake_simulate(clock, 1, photon, bad_record)
     with pytest.raises(ValueError):
         handshake_simulate(clock, -1, photon, TransitRecord(0.0, 3.4, 3.0))
+    for k in (2.9, True):
+        with pytest.raises(ValueError, match="k must"):
+            handshake_simulate(clock, k, photon, TransitRecord(0.0, 3.4, 3.0))
+    same = handshake_simulate(clock, np.int64(2), photon, TransitRecord(0.0, 3.4, 3.0))
+    assert same.amps.tobytes() == handshake_simulate(clock, 2, photon, TransitRecord(0.0, 3.4, 3.0)).amps.tobytes()
     with pytest.raises(ValueError):
         handshake_simulate(clock, 1, basis_state(2, 0), TransitRecord(0.0, 3.4, 3.0))
 

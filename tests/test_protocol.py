@@ -35,6 +35,7 @@ from reference import (
     closed_form_success,
     four_sigma,
     fold_weight,
+    gather_sync_draw,
     nearest_fraction_index,
 )
 
@@ -126,6 +127,20 @@ def test_run_sync_ledgers_single_query():
         run_sync(ProtocolConfig(n_prime), ClockModel(0.3, 1.0), child_rng(1, n_prime), ledger)
         assert ledger.queries_Q == 1
         assert ledger.max_rate_index == (1 << n_prime) - 1
+
+
+@pytest.mark.parametrize("n_prime", [5, 10, 14])
+def test_run_sync_matches_gather_reference_draw_for_draw(n_prime):
+    # the circuit's reshape views and one-trig phase table against the plain
+    # oracle and gathered blocks: same draws, and the stream left in the same state
+    offsets = np.random.default_rng(n_prime).uniform(0.0, 50.0, 20)
+    for seed, offset in enumerate(offsets):
+        clock = ClockModel(float(offset), 1.0)
+        rng, reference_rng = child_rng(seed, n_prime), child_rng(seed, n_prime)
+        estimate = run_sync(ProtocolConfig(n_prime), clock, rng)
+        drawn = gather_sync_draw(n_prime, clock.phi_star, reference_rng)
+        assert (estimate.raw_m, estimate.photon_bit) == drawn
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_run_sync_rounds_boosted_register_to_target_grid():
@@ -336,8 +351,8 @@ def test_run_sync_refuses_an_offset_that_lost_its_phase_bits():
 
 
 def test_min_success_on_grid_needs_a_grid_point():
-    # 2.5 would otherwise scan 3 phases at g / 2.5
-    for grid_points in (0, -1, 2.5):
+    # 2.5 would otherwise scan 3 phases at g / 2.5, and True the one phase 0.0
+    for grid_points in (0, -1, 2.5, True):
         with pytest.raises(ValueError, match="grid_points"):
             min_success_on_grid(3, 3, grid_points)
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ticksync import (
+    ClockModel,
     StateVector,
     basis_state,
     diagonal_phase,
@@ -12,10 +13,20 @@ from ticksync import (
     inverse_qft,
     measure,
     qft,
+    tqh_oracle,
     z_phase,
 )
 from ticksync import qsim
-from reference import dft_matrix, fourier_on_register, random_state
+from reference import (
+    dft_matrix,
+    fourier_on_register,
+    gather_fourier,
+    gather_measure,
+    key_values,
+    plain_oracle,
+    plain_phase,
+    random_state,
+)
 
 ATOL = 1e-12
 
@@ -212,11 +223,35 @@ def test_register_validation_is_cached_but_refuses_every_time():
     assert results[0] == results[1] == results[2]
 
 
-@pytest.mark.parametrize("num_qubits", [1, 2, 3, 5, 6])
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 5, 6, 11, 15])
 def test_lean_ops_match_plain_numpy_bit_for_bit(num_qubits):
     # the per-op trims reorder no arithmetic: same bits as the textbook forms
     state = StateVector(num_qubits, random_state(num_qubits, 11 + num_qubits))
     amps = state.amps
+    # the phase kernel against e^{i*angle} gathered through a bit-arithmetic key
+    # map, on the top-ordered layout (register below the photon) and a scrambled one
+    rng = np.random.default_rng(num_qubits)
+    perm = [int(q) for q in rng.permutation(num_qubits)]
+    layouts = [(tuple(range(num_qubits - 1)), num_qubits - 1), (tuple(perm[1:]), perm[0])]
+    for register, photon in layouts:
+        thetas = rng.uniform(-7.0, 7.0, 1 << len(register))
+        expected = plain_phase(amps, num_qubits, (*register, photon), np.concatenate([thetas, -thetas]))
+        assert indexed_phase(state, register, photon, thetas).amps.tobytes() == expected.tobytes()
+        for offset in (0.3711, 1234.56789, 7 / 16):
+            clock = ClockModel(offset, 1.0)
+            for repeats in (1, 2, 8):
+                expected = plain_oracle(amps, num_qubits, register, photon, clock.phi_star, repeats)
+                out = tqh_oracle(clock, state, register, photon, repeats=repeats)
+                assert out.amps.tobytes() == expected.tobytes()
+    for register in (tuple(range(num_qubits)), tuple(range(1, num_qubits)), tuple(perm[: num_qubits // 2 + 1])):
+        if register:
+            thetas = rng.uniform(-7.0, 7.0, 1 << len(register))
+            expected = plain_phase(amps, num_qubits, register, thetas)
+            assert diagonal_phase(state, register, thetas).amps.tobytes() == expected.tobytes()
+    for target in range(num_qubits):
+        expected = plain_phase(amps, num_qubits, (target,), [0.83, -0.83])
+        assert z_phase(state, target, 0.83).amps.tobytes() == expected.tobytes()
+    assert np.array_equal(key_values(3, (2, 0)), [0, 2, 0, 2, 1, 3, 1, 3])
     for target in range(num_qubits):
         pairs = amps.reshape(-1, 2, 1 << target)
         expected = np.empty_like(pairs)
@@ -228,6 +263,26 @@ def test_lean_ops_match_plain_numpy_bit_for_bit(num_qubits):
         survivor = np.ascontiguousarray(amps[outcome.value::2])
         expected = survivor / np.linalg.norm(survivor)
         assert outcome.collapsed.amps.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("num_qubits", [1, 3, 6, 15])
+def test_top_register_views_match_gather_reference(num_qubits):
+    # a top register's block is a reshape view; it must draw, collapse and
+    # transform exactly as gathering the block through an index map does
+    amps = random_state(num_qubits, 40 + num_qubits)
+    state = StateVector(num_qubits, amps)
+    for width in range(1, num_qubits + 1):
+        register = range(num_qubits - width, num_qubits)
+        for inverse, op in ((True, inverse_qft), (False, qft)):
+            expected = gather_fourier(amps, num_qubits, register, inverse)
+            assert op(state, register).amps.tobytes() == expected.tobytes()
+        rng, reference_rng = np.random.default_rng(width), np.random.default_rng(width)
+        for _ in range(3):
+            outcome = measure(state, register, rng)
+            value, collapsed = gather_measure(amps, num_qubits, register, reference_rng)
+            assert outcome.value == value
+            assert outcome.collapsed.amps.tobytes() == collapsed.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_indexed_phase_brute_force_enumeration():

@@ -172,6 +172,13 @@ def test_rate_k_rejects_zero():
         simulate_rate_k_with_unit_rate(
             ClockModel(0.1, 1.0), 0, basis_state(1, 0), 0
         )
+    # a float or a bool is not a rate multiplier, even where int() would take it
+    for k in (2.9, True):
+        with pytest.raises(ValueError, match="k must"):
+            simulate_rate_k_with_unit_rate(ClockModel(0.1, 1.0), k, basis_state(1, 0), 0, ResourceLedger())
+    ledger = ResourceLedger()
+    simulate_rate_k_with_unit_rate(ClockModel(0.1, 1.0), np.int64(2), basis_state(1, 0), 0, ledger)
+    assert ledger.queries_Q == 2
 
 
 def test_nayak_wu_bound_examples():
