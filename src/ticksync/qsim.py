@@ -47,7 +47,7 @@ class StateVector:
     non-finite entries, and rejects vectors whose squared norm strays more
     than NORM_TOL from 1.  Zero-qubit registers are rejected outright.
     copy=False adopts the buffer instead of copying it when it is already
-    complex128; ops pass their freshly built results that way.  The checks
+    contiguous complex128; ops pass their freshly built results that way.  The checks
     run either way.
     """
 
@@ -56,15 +56,17 @@ class StateVector:
     def __init__(self, num_qubits: int, amps: Iterable[complex], *, copy: bool = True) -> None:
         if num_qubits < 1:
             raise ValueError("state needs at least one qubit")
-        arr = (np.array if copy else np.asarray)(amps, dtype=np.complex128)
+        arr = (np.array if copy else np.asarray)(amps, dtype=np.complex128, order="C")
         dim = 1 << num_qubits
         if arr.shape != (dim,):
             raise ValueError(
                 f"expected {dim} amplitudes for {num_qubits} qubits, got shape {arr.shape}"
             )
         # One pass covers both checks: a non-finite amplitude makes the squared
-        # norm inf or nan, and neither satisfies the `<=` below.
-        norm_sq = float(np.vdot(arr, arr).real)
+        # norm inf or nan, and neither satisfies the `<=` below.  einsum, not
+        # vdot: BLAS runs a dot of over 10,000 entries on a spinning thread pool.
+        flat = arr.view(np.float64)
+        norm_sq = float(np.einsum("i,i->", flat, flat))
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             if not np.isfinite(arr).all():
                 raise ValueError("amplitudes must be finite")
@@ -312,9 +314,8 @@ def measure(
         new[global_index] = amp / abs(amp)
         return MeasurementOutcome(value, StateVector(state.num_qubits, new, copy=False))
 
-    survivor = block[value, :]
-    # np.linalg.norm's own complex formula, without its dispatch
-    re, im = survivor.real, survivor.imag
-    survivor = survivor / math.sqrt(re.dot(re) + im.dot(im))
+    # the drawn row's own weight is its squared norm: no second pass, and no
+    # BLAS dot, whose sums over 10,000 entries change with the thread count
+    survivor = block[value, :] / math.sqrt(weights[value])
     collapsed = StateVector(state.num_qubits - len(reg), survivor, copy=False)
     return MeasurementOutcome(value, collapsed)

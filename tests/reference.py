@@ -150,7 +150,7 @@ def gather_fourier(amps, num_qubits, register, inverse) -> np.ndarray:
 def gather_measure(amps, num_qubits, qubits, rng) -> tuple[int, np.ndarray]:
     """Measure qubits through a gathered block with qsim's sampling rule: one
     uniform scaled by the weight total against the cumsum.  Returns the value
-    and the collapsed amplitudes."""
+    and the collapsed amplitudes, the drawn row scaled by its weight."""
     joint = block_indices(num_qubits, qubits)
     block = amps[joint]
     weights = (np.abs(block) ** 2).sum(axis=1)
@@ -162,7 +162,7 @@ def gather_measure(amps, num_qubits, qubits, rng) -> tuple[int, np.ndarray]:
         collapsed[index] = amps[index] / abs(amps[index])
         return value, collapsed
     survivor = block[value]
-    return value, survivor / np.linalg.norm(survivor)
+    return value, survivor / math.sqrt(weights[value])
 
 
 def gather_sync_draw(n_prime: int, phi: float, rng) -> tuple[int, int]:
