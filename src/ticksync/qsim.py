@@ -20,6 +20,8 @@ that view, and a phase key over every qubit in order is used as it is;
 other registers go through index maps cached per (num_qubits, register) as
 read-only arrays.  Each path gives the same bits.
 Every result still passes the constructor's checks, without a second copy.
+Norms are summed by numpy, never by a BLAS dot, so a run uses one core
+and its bits do not depend on the thread count.
 Repeated oracle queries are fused one layer up, in `clock.tqh_oracle`.
 """
 
@@ -47,8 +49,8 @@ class StateVector:
     non-finite entries, and rejects vectors whose squared norm strays more
     than NORM_TOL from 1.  Zero-qubit registers are rejected outright.
     copy=False adopts the buffer instead of copying it when it is already
-    contiguous complex128; ops pass their freshly built results that way.  The checks
-    run either way.
+    contiguous complex128; ops pass their freshly built results that way.
+    The checks run either way.
     """
 
     __slots__ = ("num_qubits", "amps")
@@ -178,12 +180,13 @@ def _diagonal(state: StateVector, qubits: tuple[int, ...], factors: np.ndarray) 
 
     When qubits are all the qubits in ascending order, v is i itself and the
     table is used as it is; otherwise it is gathered through the cached map.
+    Callers pass a fresh complex128 table: the product is written into it
+    (or into its gather), so an oracle query allocates one state, not two.
     """
     if qubits != tuple(range(state.num_qubits)):
-        # bound to a name: numpy may reuse an unnamed temporary as the output
-        # with the operands swapped, and a complex product then rounds differently
         factors = factors[_register_values(state.num_qubits, qubits)]
-    return StateVector(state.num_qubits, state.amps * factors, copy=False)
+    # amps first: a complex product rounds differently with the operands swapped
+    return StateVector(state.num_qubits, np.multiply(state.amps, factors, out=factors), copy=False)
 
 
 def z_phase(state: StateVector, target: int, theta: float) -> StateVector:
