@@ -20,8 +20,9 @@ that view, and a phase key over every qubit in order is used as it is;
 other registers go through index maps cached per (num_qubits, register) as
 read-only arrays.  Each path gives the same bits.
 Every result still passes the constructor's checks, without a second copy.
-Norms are summed by numpy, never by a BLAS dot, so a run uses one core
-and its bits do not depend on the thread count.
+`measure` normalizes by the drawn row's weight and the constructor checks
+a state of over 2**13 amplitudes with einsum, so no long dot goes to BLAS:
+a run uses one core, and its bits do not depend on the thread count.
 Repeated oracle queries are fused one layer up, in `clock.tqh_oracle`.
 """
 
@@ -37,6 +38,11 @@ import numpy as np
 # Norm drift allowed at construction; unitary ops keep states far inside this.
 NORM_TOL = 1e-9
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# Longest state whose norm check is a BLAS dot, cheapest per call on small
+# states.  OpenBLAS runs a dot of over 10,000 entries on a thread pool that
+# spins between calls: a 2**15-amplitude run then kept a second core busy
+# and slowed about threefold when that core was taken.  Longer states use einsum.
+_BLAS_NORM_MAX = 1 << 13
 
 # theta_of_k may be a callable on register values or a precomputed sequence
 PhaseMap = Callable[[int], float] | Sequence[float] | np.ndarray
@@ -65,10 +71,12 @@ class StateVector:
                 f"expected {dim} amplitudes for {num_qubits} qubits, got shape {arr.shape}"
             )
         # One pass covers both checks: a non-finite amplitude makes the squared
-        # norm inf or nan, and neither satisfies the `<=` below.  einsum, not
-        # vdot: BLAS runs a dot of over 10,000 entries on a spinning thread pool.
-        flat = arr.view(np.float64)
-        norm_sq = float(np.einsum("i,i->", flat, flat))
+        # norm inf or nan, and neither satisfies the `<=` below.
+        if dim <= _BLAS_NORM_MAX:
+            norm_sq = float(np.vdot(arr, arr).real)
+        else:
+            flat = arr.view(np.float64)
+            norm_sq = float(np.einsum("i,i->", flat, flat))
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             if not np.isfinite(arr).all():
                 raise ValueError("amplitudes must be finite")
