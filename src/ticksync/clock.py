@@ -47,7 +47,9 @@ class ClockModel:
     @property
     def phi_star(self) -> float:
         """omega0 * offset_T mod 1: the phase fraction the channel can reveal."""
-        return (self.omega0 * self.offset_T) % 1.0
+        phi = (self.omega0 * self.offset_T) % 1.0
+        # a tiny negative product rounds up to 1.0, the same point as 0.0
+        return 0.0 if phi == 1.0 else phi
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,13 @@ arithmetic, so a register is validated once per (num_qubits, register),
 Hadamards work on reshaped views, and the phase gates share one kernel that
 multiplies by a table of unit factors per register value, not per
 amplitude.  `indexed_phase` evaluates one cosine and one sine per register
-value and gives the photon-|1> half their conjugate.  When the named qubits
-are the top ones in ascending order, the (register, rest) block of the
-amplitudes is their reshape, so the Fourier transforms and `measure` use
-that view, and a phase key over every qubit in order is used as it is;
-other registers go through index maps cached per (num_qubits, register) as
-read-only arrays.  Each path gives the same bits.
+value and gives the photon-|1> half their conjugate.  The Fourier transforms
+and `measure` work on a register's (register, rest) block: a reshape view
+when it is the top qubits in ascending order, else the amplitudes with one
+axis per qubit, transposed to (register, rest) order and copied, which one
+inverse transpose undoes.  A phase key over every qubit in order is used as
+it is; any other key's table is spread over its block the same way.  Each
+path gives the same bits, and no op builds an index array.
 Every result still passes the constructor's checks, without a second copy.
 `measure` normalizes by the drawn row's weight and the constructor checks
 a state of over 2**13 amplitudes with einsum, so no long dot goes to BLAS:
@@ -134,41 +135,32 @@ def _check_register(num_qubits: int, register: tuple, allow_empty: bool = False)
     return reg
 
 
-# index maps are kept per (num_qubits, register); a run touches a handful
-@lru_cache(maxsize=32)
-def _register_values(num_qubits: int, register: tuple[int, ...]) -> np.ndarray:
-    """Register value carried by each basis index; register[0] is the LSB."""
-    idx = np.arange(1 << num_qubits)
-    k = np.zeros_like(idx)
-    for pos, q in enumerate(register):
-        k |= ((idx >> q) & 1) << pos
-    k.flags.writeable = False
-    return k
+def _axes(num_qubits: int, reg: tuple[int, ...]) -> list[int] | None:
+    """Transpose of amps.reshape((2,) * num_qubits) into (register, rest) order.
 
-
-@lru_cache(maxsize=32)
-def _gather_indices(num_qubits: int, register: tuple[int, ...]) -> np.ndarray:
-    """2D view-index: row = register value, column = value of the other qubits."""
-    rest = tuple(q for q in range(num_qubits) if q not in register)
-    # inverse of the permutation taking each basis index to (register, rest)
-    # order; that permutation is used once, so it bypasses the cache
-    joint = np.argsort(_register_values.__wrapped__(num_qubits, rest + register))
-    joint = joint.reshape(1 << len(register), 1 << len(rest))
-    joint.flags.writeable = False
-    return joint
-
-
-def _block(state: StateVector, reg: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray | None]:
-    """(register, rest) block of the amplitudes and its gather map.
-
-    When reg names the top qubits in ascending order, row v, column c is
-    amplitude v * 2**len(rest) + c: the block is a reshape view and the map is None.
+    Axis a holds qubit num_qubits - 1 - a.  The register comes first, then
+    the other qubits, each top bit first, so row v, column c of the block is
+    where reg reads v and the other qubits, ascending, read c.  None when reg
+    names the top qubits in ascending order, the reshape's own order.
     """
-    n = state.num_qubits
+    n = num_qubits
     if reg == tuple(range(n - len(reg), n)):
-        return state.amps.reshape(1 << len(reg), -1), None
-    joint = _gather_indices(n, reg)
-    return state.amps[joint], joint
+        return None
+    return [n - 1 - q for q in reversed(reg)] + [a for a in range(n) if n - 1 - a not in reg]
+
+
+def _block(amps: np.ndarray, axes: list[int] | None, rows: int) -> np.ndarray:
+    """(register, rest) block of the amplitudes: a view if axes is None, else a copy."""
+    if axes is not None:
+        amps = np.ascontiguousarray(amps.reshape((2,) * len(axes)).transpose(axes))
+    return amps.reshape(rows, -1)
+
+
+def _unblock(block: np.ndarray, axes: list[int] | None) -> np.ndarray:
+    """Amplitudes in basis order from a (register, rest) block, undoing _block."""
+    if axes is not None:
+        block = block.reshape((2,) * len(axes)).transpose(np.argsort(axes))
+    return block.reshape(-1)
 
 
 def hadamard(state: StateVector, target: int) -> StateVector:
@@ -187,14 +179,16 @@ def _diagonal(state: StateVector, qubits: tuple[int, ...], factors: np.ndarray) 
     """Shared phase kernel: amplitude i gains factors[v], v = value of qubits at i.
 
     When qubits are all the qubits in ascending order, v is i itself and the
-    table is used as it is; otherwise it is gathered through the cached map.
+    table is used as it is.  Otherwise each factor is repeated along its row
+    of the (qubits, rest) block and the block is put back in basis order.
     Callers pass a fresh complex128 table: the product is written into it
-    (or into its gather), so an oracle query allocates one state, not two.
+    (or into its spread copy), so an oracle query allocates one state, not two.
     """
-    if qubits != tuple(range(state.num_qubits)):
-        factors = factors[_register_values(state.num_qubits, qubits)]
+    n = state.num_qubits
+    if qubits != tuple(range(n)):
+        factors = _unblock(np.repeat(factors, 1 << (n - len(qubits))), _axes(n, qubits))
     # amps first: a complex product rounds differently with the operands swapped
-    return StateVector(state.num_qubits, np.multiply(state.amps, factors, out=factors), copy=False)
+    return StateVector(n, np.multiply(state.amps, factors, out=factors), copy=False)
 
 
 def z_phase(state: StateVector, target: int, theta: float) -> StateVector:
@@ -266,14 +260,11 @@ def diagonal_phase(
 
 def _fourier(state: StateVector, register: Sequence[int], inverse: bool) -> StateVector:
     reg = _check_register(state.num_qubits, tuple(register))
-    block, joint = _block(state, reg)
-    block = (np.fft.fft if inverse else np.fft.ifft)(block, axis=0, norm="ortho")
-    if joint is None:
-        new = block.reshape(-1)
-    else:
-        new = np.empty_like(state.amps)
-        new[joint] = block
-    return StateVector(state.num_qubits, new, copy=False)
+    axes = _axes(state.num_qubits, reg)
+    block = (np.fft.fft if inverse else np.fft.ifft)(
+        _block(state.amps, axes, 1 << len(reg)), axis=0, norm="ortho"
+    )
+    return StateVector(state.num_qubits, _unblock(block, axes), copy=False)
 
 
 def qft(state: StateVector, register: Sequence[int]) -> StateVector:
@@ -311,7 +302,8 @@ def measure(
         rng: explicit random stream used for the Born-rule draw.
     """
     reg = _check_register(state.num_qubits, tuple(qubits))
-    block, joint = _block(state, reg)
+    axes = _axes(state.num_qubits, reg)
+    block = _block(state.amps, axes, 1 << len(reg))
     weights = (np.abs(block) ** 2).sum(axis=1)
     # scale the draw by the realized total instead of renormalizing weights
     draw = rng.random() * float(weights.sum())
@@ -319,11 +311,11 @@ def measure(
     value = min(value, weights.size - 1)
 
     if len(reg) == state.num_qubits:
-        global_index = value if joint is None else int(joint[value, 0])
-        amp = state.amps[global_index]
-        new = np.zeros_like(state.amps)
-        new[global_index] = amp / abs(amp)
-        return MeasurementOutcome(value, StateVector(state.num_qubits, new, copy=False))
+        amp = block[value, 0]
+        new = np.zeros_like(block)
+        new[value, 0] = amp / abs(amp)
+        collapsed = StateVector(state.num_qubits, _unblock(new, axes), copy=False)
+        return MeasurementOutcome(value, collapsed)
 
     # the drawn row's own weight is its squared norm: no second pass, and no
     # BLAS dot, whose sums over 10,000 entries change with the thread count

@@ -95,7 +95,9 @@ def random_state(num_qubits: int, seed: int) -> np.ndarray:
     """Haar-ish random normalized amplitude vector from a fixed seed."""
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
-    return raw / np.linalg.norm(raw)
+    # a plain numpy sum, not np.linalg.norm: a BLAS dot over many entries
+    # rounds differently with the thread count
+    return raw / math.sqrt(float((np.abs(raw) ** 2).sum()))
 
 
 def key_values(num_qubits: int, qubits) -> np.ndarray:

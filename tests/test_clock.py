@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ticksync import (
@@ -14,6 +14,7 @@ from ticksync import (
     handshake_simulate,
     hadamard,
     make_world,
+    success_probability_exact,
     tqh_oracle,
     z_phase,
 )
@@ -28,6 +29,23 @@ def test_phi_star_reduces_modulo_one():
     assert np.isclose(ClockModel(1.625, 1.0).phi_star, 0.625, atol=1e-12)
     assert np.isclose(ClockModel(-0.25, 1.0).phi_star, 0.75, atol=1e-12)
     assert np.isclose(ClockModel(0.7, 2.0).phi_star, 0.4, atol=1e-12)
+    # (x % 1.0) rounds to 1.0 for a tiny negative x; that point is phase 0,
+    # which the exact success call accepts
+    for offset in (-1e-20, -5e-324, -1e-17):
+        assert ClockModel(offset, 1.0).phi_star == 0.0
+    assert ClockModel(-1e-20, 3.0).phi_star == 0.0
+    phi = ClockModel(-1e-20, 1.0).phi_star
+    assert success_probability_exact(3, phi, 3) == success_probability_exact(3, 0.0, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    offset=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    omega0=st.floats(min_value=1e-3, max_value=1e3),
+)
+@example(offset=-1e-20, omega0=1.0)
+def test_phi_star_lies_in_the_unit_interval(offset, omega0):
+    assert 0.0 <= ClockModel(offset, omega0).phi_star < 1.0
 
 
 def test_clock_model_validation():

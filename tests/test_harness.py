@@ -85,6 +85,14 @@ def test_sync_rows_and_columns(tmp_path):
     assert any(l.startswith("# n_prime = 3") for l in meta)
 
 
+def test_sync_tiny_negative_offset_writes_phase_zero(tmp_path):
+    # the offset sits just below 0 on the circle: phi_true is 0.0, not 1.0
+    assert run(_spec(tmp_path, t_true=-1e-20)) == 0
+    _, _, rows = _read(tmp_path / "out.csv")
+    assert [row[2] for row in rows] == ["0.0"] * 10
+    assert all(row[7] == "1" for row in rows)
+
+
 def test_sync_samples_offsets_when_t_true_absent(tmp_path):
     spec = _spec(tmp_path, trials=8)
     run(spec)

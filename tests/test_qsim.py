@@ -16,7 +16,6 @@ from ticksync import (
     tqh_oracle,
     z_phase,
 )
-from ticksync import qsim
 from reference import (
     dft_matrix,
     fourier_on_register,
@@ -60,15 +59,6 @@ def test_constructor_copies_amplitudes():
     state = StateVector(1, buf)
     buf[0] = 0.5
     assert state.amps[0] == 1.0
-
-
-def test_cached_index_maps_are_read_only():
-    indexed_phase(basis_state(3, 0), (2, 0), 1, [0.1, 0.2, 0.3, 0.4])
-    measure(qft(basis_state(3, 0), (2, 0)), (2, 0), np.random.default_rng(0))
-    for index_map in (qsim._register_values(3, (2, 0, 1)), qsim._gather_indices(3, (2, 0))):
-        assert not index_map.flags.writeable
-        with pytest.raises(ValueError):
-            index_map[0] = 1
 
 
 def test_writing_returned_amps_leaves_later_ops_unchanged():
@@ -266,23 +256,38 @@ def test_lean_ops_match_plain_numpy_bit_for_bit(num_qubits):
         assert outcome.collapsed.amps.tobytes() == expected.tobytes()
 
 
+def _register_layouts(num_qubits):
+    """Top, low, partial and scrambled registers of every width, and the
+    whole register scrambled."""
+    pick = np.random.default_rng(num_qubits)
+    layouts = []
+    for width in range(1, num_qubits + 1):
+        layouts.append(range(num_qubits - width, num_qubits))
+        layouts.append(range(width))
+        layouts.append(tuple(int(q) for q in pick.permutation(num_qubits)[:width]))
+    layouts.append(tuple(int(q) for q in pick.permutation(num_qubits)))
+    if num_qubits > 1:
+        layouts.append(tuple(range(num_qubits))[::-1])
+    return layouts
+
+
 @pytest.mark.parametrize("num_qubits", [1, 3, 6, 15])
-def test_top_register_views_match_gather_reference(num_qubits):
-    # a top register's block is a reshape view; it must draw, collapse and
-    # transform exactly as gathering the block through an index map does
+def test_register_blocks_match_gather_reference(num_qubits):
+    # a top register's block is a reshape view and any other one a transposed
+    # copy; each must draw, collapse and transform exactly as gathering the
+    # block through bit-placed indices does
     amps = random_state(num_qubits, 40 + num_qubits)
     state = StateVector(num_qubits, amps)
-    for width in range(1, num_qubits + 1):
-        register = range(num_qubits - width, num_qubits)
+    for seed, register in enumerate(_register_layouts(num_qubits)):
         for inverse, op in ((True, inverse_qft), (False, qft)):
             expected = gather_fourier(amps, num_qubits, register, inverse)
-            assert op(state, register).amps.tobytes() == expected.tobytes()
-        rng, reference_rng = np.random.default_rng(width), np.random.default_rng(width)
+            assert op(state, register).amps.tobytes() == expected.tobytes(), register
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
             outcome = measure(state, register, rng)
             value, collapsed = gather_measure(amps, num_qubits, register, reference_rng)
-            assert outcome.value == value
-            assert outcome.collapsed.amps.tobytes() == collapsed.tobytes()
+            assert outcome.value == value, register
+            assert outcome.collapsed.amps.tobytes() == collapsed.tobytes(), register
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
