@@ -10,9 +10,10 @@ applies that map coherently over a rate register; `handshake_simulate`
 replays the same exchange with explicit timestamps so the cancellation can
 be checked against the black-box form.
 
-Phase arithmetic reduces cycle counts mod 1 before multiplying by k, which
-keeps intermediate products small and the result within a few ulps even at
-the top of the supported rate range.
+Every phase is reduced mod 1 by `_frac`, cycle counts before they are
+multiplied by k, which keeps intermediate products small and the result
+within a few ulps even at the top of the supported rate range.  2**e
+back-to-back queries are one query at phase 2**e * phi mod 1.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class ClockModel:
     @property
     def phi_star(self) -> float:
         """omega0 * offset_T mod 1: the phase fraction the channel can reveal."""
-        phi = (self.omega0 * self.offset_T) % 1.0
+        phi = float(_frac(self.omega0 * self.offset_T))
         # a tiny negative product rounds up to 1.0, the same point as 0.0
         return 0.0 if phi == 1.0 else phi
 
@@ -99,9 +100,17 @@ def _count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def _frac(t):
+    """t mod 1, with the bits of t % 1.0 (signed zeros included): t - floor(t)
+    is one rounding of the same exact value.  An array is reduced in place
+    and returned."""
+    t -= np.floor(t)
+    return t
+
+
 def _turns(k: int, cycles: float) -> float:
     """Fractional part of k*cycles, reducing cycles mod 1 before the product."""
-    return (k * (cycles % 1.0)) % 1.0
+    return _frac(k * _frac(cycles))
 
 
 def tqh_oracle(
@@ -110,35 +119,24 @@ def tqh_oracle(
     register: "tuple[int, ...] | list[int] | range",
     photon: int,
     ledger: ResourceLedger | None = None,
-    repeats: int = 1,
 ) -> StateVector:
-    """`repeats` coherent queries: |k>|psi> -> |k> e^{2*pi*i*repeats*k*omega0*T*Z} |psi>.
+    """One coherent query: |k>|psi> -> |k> e^{2*pi*i*k*omega0*T*Z} |psi>.
 
     The register holds the tick-rate index k in superposition; the photon
-    qubit absorbs the rotation.  Back-to-back queries on one register are the
-    same diagonal rotation, so `repeats` of them are applied as one rotation
-    by `repeats` times the angle.  Each still costs one query at rate
+    qubit absorbs the rotation.  The query costs one at rate
     2**len(register)-1 (the largest branch present), recorded on the ledger
-    when one is given.  repeats must be a positive integer; a bool or float
-    raises ValueError.
-
-    The turn table k * phi_star, and its `repeats` multiple, is reduced mod 1
-    in place as t - floor(t): for t >= 0 that is exact, the same value as
-    t % 1.0 at a fraction of the cost.
+    when one is given.  The turn table k * phi_star is reduced by `_frac` in
+    place, so the query allocates no table beyond it.
     """
-    repeats = _count("repeats", repeats, 1)
     reg = tuple(int(q) for q in register)
     count = 1 << len(reg)
     turns = np.arange(count, dtype=np.float64)
     turns *= clock.phi_star
-    turns -= np.floor(turns)
-    if repeats > 1:
-        turns *= repeats
-        turns -= np.floor(turns)
+    turns = _frac(turns)
     turns *= 2.0 * np.pi
     out = indexed_phase(state, reg, photon, turns)
     if ledger is not None:
-        ledger.record_query(count - 1, count=repeats)
+        ledger.record_query(count - 1)
     return out
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .clock import (
-    ClockModel, ResourceLedger, fixed_rate_query, handshake_simulate, make_world, tqh_oracle
+    ClockModel, ResourceLedger, _frac, fixed_rate_query, handshake_simulate, make_world, tqh_oracle
 )
 from .protocol import (
     ProtocolConfig, loses_phase_bits, photon_zero_probability, run_sync,
@@ -197,7 +197,7 @@ def _scenario_boost(spec: ExperimentSpec):
     grid_points = 1 << (n + _GRID_BITS)
     # the estimate is exact on the n'-bit register grid: scan half a bin off it
     half_bin = 2.0 ** -(n_prime + 1)
-    phis = (np.arange(grid_points) / grid_points + half_bin) % 1.0
+    phis = _frac(np.arange(grid_points) / grid_points + half_bin)
     probs = success_probability_exact(n_prime, phis, n)
     worst_phi, worst_p = float(phis[np.argmin(probs)]), probs.min()
     rows = list(zip(range(grid_points), phis.tolist(), probs.tolist()))

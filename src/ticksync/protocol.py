@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clock import ClockModel, ResourceLedger, _count, tqh_oracle
+from .clock import ClockModel, ResourceLedger, _count, _frac, tqh_oracle
 from .qsim import _INV_SQRT2, StateVector, inverse_qft, measure
 
 # Widest register n' simulated: with the photon, 2**25 amplitudes (512 MiB) at 24.
@@ -41,8 +41,8 @@ _WEIGHT_BLOCK = 1 << 20  # most kernel weights the exact analysis holds at once
 
 def circular_distance(a, b):
     """Distance between phase fractions on the unit circle, in [0, 1/2];
-    elementwise on arrays."""
-    d = np.abs(a - b) % 1.0
+    elementwise on arrays (integer ones too: np.fabs returns floats)."""
+    d = _frac(np.fabs(a - b))
     return np.minimum(d, 1.0 - d)
 
 
@@ -123,23 +123,21 @@ def _nearest_grid_index(m: int, n_prime: int, n_bits: int) -> int:
     return ((m + half - 1) >> d) % (1 << n_bits)
 
 
-def _queried_state(
-    clock: ClockModel, n_prime: int, ledger: ResourceLedger | None = None, repeats: int = 1
-) -> StateVector:
+def _queried_state(clock: ClockModel, n_prime: int, ledger: ResourceLedger | None = None) -> StateVector:
     """Register and photon right after the oracle: the circuit of every run.
 
     The circuit Fourier-transforms register qubits 0..n_prime-1 from |0...0>
-    and puts photon qubit n_prime on the equator, then makes `repeats`
-    coherent queries.  The clock enters only through the queries, so the
-    prepared state is written directly: every amplitude is
-    (1/sqrt(2**n')) * _INV_SQRT2.  That is exactly what `qft` and `hadamard`
-    compute, bit for bit: the transform of |0...0> gives every register
-    value the one amplitude 1 times its orthonormal factor 1/sqrt(2**n'),
-    and the Hadamard adds or subtracts a zero before scaling by _INV_SQRT2.
+    and puts photon qubit n_prime on the equator, then makes one coherent
+    query.  The clock enters only through the query, so the prepared state
+    is written directly: every amplitude is (1/sqrt(2**n')) * _INV_SQRT2.
+    That is exactly what `qft` and `hadamard` compute, bit for bit: the
+    transform of |0...0> gives every register value the one amplitude 1
+    times its orthonormal factor 1/sqrt(2**n'), and the Hadamard adds or
+    subtracts a zero before scaling by _INV_SQRT2.
     """
     amp = (1.0 / math.sqrt(2**n_prime)) * _INV_SQRT2
     prepared = StateVector(n_prime + 1, np.full(2 << n_prime, amp, dtype=np.complex128), copy=False)
-    return tqh_oracle(clock, prepared, range(n_prime), n_prime, ledger, repeats)
+    return tqh_oracle(clock, prepared, range(n_prime), n_prime, ledger)
 
 
 def _final_joint_state(n_prime: int, phi: float) -> StateVector:
@@ -233,9 +231,10 @@ def success_probability_exact(n_prime: int, phi, n_bits: int):
 
 
 def photon_zero_probability(n_prime: int, phi: float) -> float:
-    """Exact probability of reading photon_bit = 0 in the state; 1/2 for every phi."""
-    if n_prime < 1:
-        raise ValueError("register needs at least one qubit")
+    """Exact probability of reading photon_bit = 0 in the state; 1/2 for every phi.
+    Refuses n_prime outside [1, MAX_REGISTER_QUBITS] before building the state."""
+    if not 1 <= n_prime <= MAX_REGISTER_QUBITS:
+        raise ValueError(f"n_prime must lie in [1, {MAX_REGISTER_QUBITS}], got {n_prime!r}")
     probs = _final_joint_state(n_prime, float(_validated_phase(phi))).probabilities()
     return float(np.sum(probs[: 1 << n_prime]))
 

@@ -10,21 +10,20 @@ passed by the caller; nothing in this module reads a global stream.
 Intended scale is a couple dozen qubits at most, as plain dense
 ``complex128`` vectors.  Small registers cost bookkeeping more than
 arithmetic, so a register is validated once per (num_qubits, register),
-Hadamards work on reshaped views, and the phase gates share one kernel that
-multiplies by a table of unit factors per register value, not per
-amplitude.  `indexed_phase` evaluates one cosine and one sine per register
-value and gives the photon-|1> half their conjugate.  The Fourier transforms
-and `measure` work on a register's (register, rest) block: a reshape view
-when it is the top qubits in ascending order, else the amplitudes with one
-axis per qubit, transposed to (register, rest) order and copied, which one
-inverse transpose undoes.  A phase key over every qubit in order is used as
-it is; any other key's table is spread over its block the same way.  Each
-path gives the same bits, and no op builds an index array.
+and the phase gates share one kernel that multiplies by a table of unit
+factors per register value, not per amplitude.  `indexed_phase` evaluates
+one cosine and one sine per register value and gives the photon-|1> half
+their conjugate.  The Fourier transforms and `measure` work on a
+register's (register, rest) block: a reshape view when it is the top
+qubits in ascending order, else the amplitudes with one axis per qubit,
+transposed to (register, rest) order and copied, which one inverse
+transpose undoes.  A phase key over every qubit in order is used as it is;
+any other key's table is spread over its block the same way.  Each path
+gives the same bits, and no op builds an index array.
 Every result still passes the constructor's checks, without a second copy.
 `measure` normalizes by the drawn row's weight and the constructor checks
 a state of over 2**13 amplitudes with einsum, so no long dot goes to BLAS:
 a run uses one core, and its bits do not depend on the thread count.
-Repeated oracle queries are fused one layer up, in `clock.tqh_oracle`.
 """
 
 from __future__ import annotations
@@ -168,10 +167,8 @@ def hadamard(state: StateVector, target: int) -> StateVector:
     target = _check_qubit(state, target, role="target")
     # axes: higher qubits, target, lower qubits
     pairs = state.amps.reshape(-1, 2, 1 << target)
-    new = np.empty_like(pairs)
-    np.add(pairs[:, 0], pairs[:, 1], out=new[:, 0])
-    np.subtract(pairs[:, 0], pairs[:, 1], out=new[:, 1])
-    new *= _INV_SQRT2
+    a, b = pairs[:, 0], pairs[:, 1]
+    new = np.stack((a + b, a - b), axis=1) * _INV_SQRT2
     return StateVector(state.num_qubits, new.reshape(-1), copy=False)
 
 

@@ -8,14 +8,15 @@ grows as F falls.  Three regimes are covered:
 
 * F = 2**n: the full protocol, Q = 1.
 * 2 <= F = 2**m < 2**n: windowed phase estimation.  Each window runs the
-  protocol's circuit on m qubits with 2**e repeated queries (e the window's
-  bit offset).  The first window reads the lowest m bits; each later one
-  reads the next bits up, with the already-known low bits cancelled by an
-  in-circuit diagonal correction, and the windows merge as plain integers.
-  Windows are re-run in passes (1, 3, ..., 15) with a per-window majority
-  vote when one pass is not reliable enough.  Each window's queried state
-  is built once per grid phase and effort; every run of the window still
-  charges its 2**e queries and measures the photon and the register.
+  protocol's circuit on m qubits with 2**e queries (e the window's bit
+  offset), made as one query at phase 2**e * phi mod 1.  The first window
+  reads the lowest m bits; each later one reads the next bits up, with the
+  already-known low bits cancelled by an in-circuit diagonal correction,
+  and the windows merge as plain integers.  Windows are re-run in passes
+  (1, 3, ..., 15) with a per-window majority vote when one pass is not
+  reliable enough.  Each window's queried state is built once per grid
+  phase and effort; every run of the window still charges its 2**e
+  queries and measures the photon and the register.
 * F = 1: no usable quantum phase, only the fixed unit-rate observable.
   A two-quadrature sampling estimator draws from the fringes
   cos^2(2*pi*phi) and cos^2(2*pi*phi + pi/4), written in closed form, and
@@ -43,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clock import ClockModel, ResourceLedger, _count, fixed_rate_query
+from .clock import ClockModel, ResourceLedger, _count, _frac, fixed_rate_query
 from .protocol import _fold_conjugate, _queried_state, within_precision
 from .qsim import StateVector, basis_state, diagonal_phase, hadamard, inverse_qft, measure
 
@@ -181,8 +182,9 @@ def _measure_window(
     """Estimate one m-bit window of the phase at bit offset `exponent`.
 
     `queried` is the protocol's circuit on an m-qubit register right after its
-    2**exponent repeated queries, built once per grid phase; each run charges
-    those queries to `ledger`, measures the photon, cancels known_turns (the
+    2**exponent queries, built once per grid phase as one query at phase
+    2**exponent * phi mod 1; each run charges the 2**exponent queries to
+    `ledger`, measures the photon, cancels known_turns (the
     part of 2**exponent * phi the lower windows already read) with a diagonal
     rotation whose sign follows the photon branch, and measures the register.
     """
@@ -192,7 +194,7 @@ def _measure_window(
     state = photon_out.collapsed
     if known_turns > 0:
         sign = -1.0 if photon_out.value == 0 else 1.0
-        turns = (np.arange(1 << m) * known_turns) % 1.0
+        turns = _frac(np.arange(1 << m) * known_turns)
         state = diagonal_phase(state, reg, 2.0 * np.pi * sign * turns)
     window = measure(inverse_qft(state, reg), reg, rng).value
     return _fold_conjugate(window, m) if photon_out.value == 1 else window
@@ -208,8 +210,8 @@ def _windowed_estimate(
 ) -> tuple[float, ResourceLedger]:
     """Full multi-window estimate of a phase with per-window majority voting.
 
-    states[i] is window i's queried state for the true phase,
-    `_queried_state(ClockModel(phi, 1.0), m, repeats=2**exponents[i])`.
+    states[i] is `_queried_state(ClockModel(_frac(phi * 2**e), 1.0), m)`, e =
+    exponents[i]: window i's 2**e queries made as one at 2**e * phi mod 1.
     The window at offset e reads bits shift..shift+m-1 of the n_bits-bit
     phase integer, shift = n_bits - e - m.  Windows are merged from bit 0
     upward into a running value whose low `known` bits are set; where two
@@ -302,7 +304,7 @@ def tradeoff_sweep(
             point = _scored_point(
                 F, n_target, 1 << n_target, PASS_COUNTS,
                 lambda phi: partial(_windowed_estimate, [
-                    _queried_state(ClockModel(phi, 1.0), m, repeats=1 << e) for e in exponents
+                    _queried_state(ClockModel(_frac(phi * (1 << e)), 1.0), m) for e in exponents
                 ], n_target, m, exponents),
                 trials, rng,
             )

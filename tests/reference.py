@@ -117,11 +117,9 @@ def plain_phase(amps: np.ndarray, num_qubits: int, qubits, angles) -> np.ndarray
     return amps * factors
 
 
-def plain_oracle(amps, num_qubits, register, photon, phi, repeats=1) -> np.ndarray:
-    """`repeats` queries at phase phi: turns (k * phi) % 1.0, photon |1> rotated by the negated angle."""
+def plain_oracle(amps, num_qubits, register, photon, phi) -> np.ndarray:
+    """One query at phase phi: turns (k * phi) % 1.0, photon |1> rotated by the negated angle."""
     turns = (np.arange(1 << len(register)) * phi) % 1.0
-    if repeats > 1:
-        turns = (repeats * turns) % 1.0
     angles = 2.0 * np.pi * turns
     return plain_phase(amps, num_qubits, (*register, photon), np.concatenate([angles, -angles]))
 

@@ -48,6 +48,8 @@ def test_circular_distance_wraps():
     # elementwise on arrays, and so is the success rule built on it
     a, b = np.array([0.95, 0.05, 0.25, 0.0]), np.array([0.05, 0.95, 0.25, 0.5])
     assert np.array_equal(circular_distance(a, b), [circular_distance(*p) for p in zip(a, b)])
+    # integer phases are whole turns apart: distance 0
+    assert circular_distance(np.array([0, 3]), np.array([1, -2])).tolist() == [0.0, 0.0]
     # strictly below 2**-n: a distance of exactly 1/8 fails at n = 3
     assert within_precision(np.array([0.9, 0.125, 0.2]), 0.0, 3).tolist() == [True, False, False]
 
@@ -291,6 +293,22 @@ def test_photon_outcome_is_fair():
     for n_prime in (1, 3, 5):
         for phi in (0.0, 0.123456, 0.5, 0.9999):
             assert abs(photon_zero_probability(n_prime, phi) - 0.5) < 1e-12
+
+
+def test_photon_zero_probability_refuses_a_register_over_the_cap(monkeypatch):
+    # refused before any state is built: 2**26 amplitudes at n_prime = 25
+    class Built(Exception):
+        pass
+
+    def stub(*args):
+        raise Built
+
+    monkeypatch.setattr(protocol, "_queried_state", stub)
+    for n_prime in (0, protocol.MAX_REGISTER_QUBITS + 1, 1000):
+        with pytest.raises(ValueError, match="n_prime"):
+            photon_zero_probability(n_prime, 0.25)
+    with pytest.raises(Built):
+        photon_zero_probability(protocol.MAX_REGISTER_QUBITS, 0.25)
 
 
 def test_sweep_phi_builds_one_state_per_grid_phase(monkeypatch, tmp_path):

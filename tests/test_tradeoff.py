@@ -23,6 +23,7 @@ from ticksync import (
     tradeoff_sweep,
     z_phase,
 )
+from ticksync.clock import _frac
 from ticksync.protocol import _queried_state
 from ticksync.tradeoff import _window_exponents, _windowed_estimate
 from ticksync.seeding import child_rng
@@ -271,7 +272,7 @@ def test_windowed_estimate_off_grid_phase_useful():
     # off the grid nothing is exact, but estimates should cluster nearby
     phi = 0.303
     exponents = _window_exponents(5, 1)
-    states = [_queried_state(ClockModel(phi, 1.0), 1, repeats=1 << e) for e in exponents]
+    states = [_queried_state(ClockModel(_frac(phi * (1 << e)), 1.0), 1) for e in exponents]
     close = 0
     for seed in range(60):
         estimate, ledger = _windowed_estimate(
@@ -283,10 +284,12 @@ def test_windowed_estimate_off_grid_phase_useful():
 
 
 def _sequential_window(clock, m, exponent, known_turns, rng, ledger, photons):
-    # the window circuit built from scratch, queries charged by the oracle
+    # the window circuit built from scratch: 2**exponent single queries at
+    # phase phi, each charged by the oracle
     reg = range(m)
     state = hadamard(qft(basis_state(m + 1, 0), reg), m)
-    state = tqh_oracle(clock, state, reg, m, ledger, repeats=1 << exponent)
+    for _ in range(1 << exponent):
+        state = tqh_oracle(clock, state, reg, m, ledger)
     photon = measure(state, [m], rng)
     photons.add((photon.value, known_turns > 0))
     state = photon.collapsed
@@ -327,7 +330,7 @@ def test_hoisted_windows_match_sequential_circuits():
     for n_bits, m, passes in ((4, 1, 3), (5, 2, 3), (5, 3, 1), (4, 4, 2)):
         exponents = _window_exponents(n_bits, m)
         for phi in (0.0, 5 / 16, 0.303, 0.77):
-            states = [_queried_state(ClockModel(phi, 1.0), m, repeats=1 << e) for e in exponents]
+            states = [_queried_state(ClockModel(_frac(phi * (1 << e)), 1.0), m) for e in exponents]
             for seed in range(6):
                 rng, ref_rng = child_rng(71, seed), child_rng(71, seed)
                 phase, ledger = _windowed_estimate(states, n_bits, m, exponents, passes, rng)
