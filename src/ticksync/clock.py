@@ -83,11 +83,9 @@ class ResourceLedger:
     max_rate_index: int = 0
 
     def record_query(self, rate_index: int, count: int = 1) -> None:
-        if rate_index < 0:
-            raise ValueError("rate index must be nonnegative")
-        if count < 1:
-            raise ValueError("count must be positive")
-        self.queries_Q += count
+        """Charge `count` >= 1 queries at `rate_index` >= 0, both integers, not bools."""
+        rate_index = _count("rate_index", rate_index, 0)
+        self.queries_Q += _count("count", count, 1)
         if rate_index > self.max_rate_index:
             self.max_rate_index = rate_index
 

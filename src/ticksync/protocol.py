@@ -232,8 +232,10 @@ def success_probability_exact(n_prime: int, phi, n_bits: int):
 
 def photon_zero_probability(n_prime: int, phi: float) -> float:
     """Exact probability of reading photon_bit = 0 in the state; 1/2 for every phi.
-    Refuses n_prime outside [1, MAX_REGISTER_QUBITS] before building the state."""
-    if not 1 <= n_prime <= MAX_REGISTER_QUBITS:
+    Refuses n_prime outside [1, MAX_REGISTER_QUBITS], or not an integer (a
+    bool or float included), before building the state."""
+    n_prime = _count("n_prime", n_prime, 1)
+    if n_prime > MAX_REGISTER_QUBITS:
         raise ValueError(f"n_prime must lie in [1, {MAX_REGISTER_QUBITS}], got {n_prime!r}")
     probs = _final_joint_state(n_prime, float(_validated_phase(phi))).probabilities()
     return float(np.sum(probs[: 1 << n_prime]))

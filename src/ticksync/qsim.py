@@ -21,9 +21,11 @@ transpose undoes.  A phase key over every qubit in order is used as it is;
 any other key's table is spread over its block the same way.  Each path
 gives the same bits, and no op builds an index array.
 Every result still passes the constructor's checks, without a second copy.
-`measure` normalizes by the drawn row's weight and the constructor checks
-a state of over 2**13 amplitudes with einsum, so no long dot goes to BLAS:
-a run uses one core, and its bits do not depend on the thread count.
+`measure` draws through `_born_table` and `_draw`, which `tradeoff` shares
+for the Born tables it keeps.  It normalizes by the drawn row's weight and
+the constructor checks a state of over 2**13 amplitudes with einsum, so no
+long dot goes to BLAS: a run uses one core, and its bits do not depend on
+the thread count.
 """
 
 from __future__ import annotations
@@ -283,6 +285,17 @@ def inverse_qft(state: StateVector, register: Sequence[int]) -> StateVector:
     return _fourier(state, register, inverse=True)
 
 
+def _born_table(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Born weight of each row of a (register, rest) block, running sum and total."""
+    weights = (np.abs(block) ** 2).sum(axis=1)
+    return weights, weights.cumsum(), float(weights.sum())
+
+
+def _draw(cumsum: np.ndarray, total: float, rng: np.random.Generator) -> int:
+    """First row whose running sum exceeds one uniform scaled by the realized total."""
+    return min(int(cumsum.searchsorted(rng.random() * total, side="right")), cumsum.size - 1)
+
+
 def measure(
     state: StateVector, qubits: Sequence[int], rng: np.random.Generator
 ) -> MeasurementOutcome:
@@ -301,11 +314,8 @@ def measure(
     reg = _check_register(state.num_qubits, tuple(qubits))
     axes = _axes(state.num_qubits, reg)
     block = _block(state.amps, axes, 1 << len(reg))
-    weights = (np.abs(block) ** 2).sum(axis=1)
-    # scale the draw by the realized total instead of renormalizing weights
-    draw = rng.random() * float(weights.sum())
-    value = int(weights.cumsum().searchsorted(draw, side="right"))
-    value = min(value, weights.size - 1)
+    weights, cumsum, total = _born_table(block)
+    value = _draw(cumsum, total, rng)
 
     if len(reg) == state.num_qubits:
         amp = block[value, 0]

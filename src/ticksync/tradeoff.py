@@ -15,8 +15,9 @@ grows as F falls.  Three regimes are covered:
   and the windows merge as plain integers.  Windows are re-run in passes
   (1, 3, ..., 15) with a per-window majority vote when one pass is not
   reliable enough.  Each window's queried state is built once per grid
-  phase and effort; every run of the window still charges its 2**e
-  queries and measures the photon and the register.
+  phase and effort.  Every run charges its 2**e queries and measures the
+  photon; the register value is drawn, by `qsim.measure`'s rule, from a Born
+  table built on the first run of its photon branch at that phase.
 * F = 1: no usable quantum phase, only the fixed unit-rate observable.
   A two-quadrature sampling estimator draws from the fringes
   cos^2(2*pi*phi) and cos^2(2*pi*phi + pi/4), written in closed form, and
@@ -47,6 +48,7 @@ import numpy as np
 from .clock import ClockModel, ResourceLedger, _count, _frac, fixed_rate_query
 from .protocol import _fold_conjugate, _queried_state, within_precision
 from .qsim import StateVector, basis_state, diagonal_phase, hadamard, inverse_qft, measure
+from .qsim import _born_table, _draw
 
 # the worst per-phase hit rate a point must reach, and the efforts tried in
 # turn to reach it: majority passes for F >= 2, sample counts for F = 1
@@ -171,8 +173,18 @@ def _window_exponents(n_bits: int, m: int) -> list[int]:
     return [*range(n_bits - m, 0, -m), 0]
 
 
+class _Window:
+    """One window at one grid phase: its queried state, 2**exponent queries
+    made as one at phase 2**exponent * phi mod 1, and the Born table of each
+    register read so far, keyed by (photon bit, known_turns), an exact dyadic."""
+
+    def __init__(self, phi: float, m: int, exponent: int) -> None:
+        self.queried = _queried_state(ClockModel(_frac(phi * (1 << exponent)), 1.0), m)
+        self.tables: dict[tuple[int, float], tuple[np.ndarray, float]] = {}
+
+
 def _measure_window(
-    queried: StateVector,
+    window: _Window,
     m: int,
     exponent: int,
     known_turns: float,
@@ -181,27 +193,30 @@ def _measure_window(
 ) -> int:
     """Estimate one m-bit window of the phase at bit offset `exponent`.
 
-    `queried` is the protocol's circuit on an m-qubit register right after its
-    2**exponent queries, built once per grid phase as one query at phase
-    2**exponent * phi mod 1; each run charges the 2**exponent queries to
-    `ledger`, measures the photon, cancels known_turns (the
-    part of 2**exponent * phi the lower windows already read) with a diagonal
-    rotation whose sign follows the photon branch, and measures the register.
+    Each run charges the 2**exponent queries to `ledger` and measures the
+    photon of `window.queried`.  On a branch's first run its register state is
+    built: known_turns (the part of 2**exponent * phi the lower windows already
+    read) cancelled by a diagonal rotation whose sign follows the photon, then
+    the inverse QFT.  Its Born table is kept, and every run draws from it.
     """
-    reg = range(m)
     ledger.record_query((1 << m) - 1, count=1 << exponent)
-    photon_out = measure(queried, [m], rng)
-    state = photon_out.collapsed
-    if known_turns > 0:
-        sign = -1.0 if photon_out.value == 0 else 1.0
-        turns = _frac(np.arange(1 << m) * known_turns)
-        state = diagonal_phase(state, reg, 2.0 * np.pi * sign * turns)
-    window = measure(inverse_qft(state, reg), reg, rng).value
-    return _fold_conjugate(window, m) if photon_out.value == 1 else window
+    photon = measure(window.queried, [m], rng)
+    key = (photon.value, known_turns)
+    if key not in window.tables:
+        reg = range(m)
+        state = photon.collapsed
+        if known_turns > 0:
+            sign = -1.0 if photon.value == 0 else 1.0
+            turns = _frac(np.arange(1 << m) * known_turns)
+            state = diagonal_phase(state, reg, 2.0 * np.pi * sign * turns)
+        # every qubit is read, so the (register, rest) block is one column
+        window.tables[key] = _born_table(inverse_qft(state, reg).amps[:, None])[1:]
+    value = _draw(*window.tables[key], rng)
+    return _fold_conjugate(value, m) if photon.value == 1 else value
 
 
 def _windowed_estimate(
-    states: Sequence[StateVector],
+    windows: Sequence[_Window],
     n_bits: int,
     m: int,
     exponents: Sequence[int],
@@ -210,12 +225,11 @@ def _windowed_estimate(
 ) -> tuple[float, ResourceLedger]:
     """Full multi-window estimate of a phase with per-window majority voting.
 
-    states[i] is `_queried_state(ClockModel(_frac(phi * 2**e), 1.0), m)`, e =
-    exponents[i]: window i's 2**e queries made as one at 2**e * phi mod 1.
-    The window at offset e reads bits shift..shift+m-1 of the n_bits-bit
-    phase integer, shift = n_bits - e - m.  Windows are merged from bit 0
-    upward into a running value whose low `known` bits are set; where two
-    windows overlap, the earlier read wins.
+    windows[i] is `_Window(phi, m, exponents[i])`, shared by every pass and
+    every run the caller makes at phi.  The window at offset e reads bits
+    shift..shift+m-1 of the n_bits-bit phase integer, shift = n_bits - e - m.
+    Windows are merged from bit 0 upward into a running value whose low
+    `known` bits are set; where two windows overlap, the earlier read wins.
     """
     ledger = ResourceLedger()
     votes: list[Counter] = [Counter() for _ in exponents]
@@ -224,7 +238,7 @@ def _windowed_estimate(
         for stage, exponent in enumerate(exponents):
             shift = n_bits - exponent - m
             known_turns = (value & ((1 << shift) - 1)) / float(1 << (shift + m))
-            window = _measure_window(states[stage], m, exponent, known_turns, rng, ledger)
+            window = _measure_window(windows[stage], m, exponent, known_turns, rng, ledger)
             votes[stage][window] += 1
             value |= (window << shift) >> known << known
             known = shift + m
@@ -303,9 +317,8 @@ def tradeoff_sweep(
             exponents = _window_exponents(n_target, m)
             point = _scored_point(
                 F, n_target, 1 << n_target, PASS_COUNTS,
-                lambda phi: partial(_windowed_estimate, [
-                    _queried_state(ClockModel(_frac(phi * (1 << e)), 1.0), m) for e in exponents
-                ], n_target, m, exponents),
+                lambda phi: partial(_windowed_estimate, [_Window(phi, m, e) for e in exponents],
+                                    n_target, m, exponents),
                 trials, rng,
             )
         points.append(point)

@@ -84,6 +84,18 @@ def test_resource_ledger_counts_and_maximum():
         ledger.record_query(-1)
     with pytest.raises(ValueError):
         ledger.record_query(1, count=0)
+    # a float or a bool is not a query count or a rate index; nothing is charged
+    with pytest.raises(ValueError, match="count"):
+        ledger.record_query(3, count=2.5)
+    for rate_index in (True, 1.0):
+        with pytest.raises(ValueError, match="rate_index"):
+            ledger.record_query(rate_index)
+    with pytest.raises(ValueError, match="count"):
+        ledger.record_query(1, count=True)
+    assert (ledger.queries_Q, ledger.max_rate_index) == (6, 5)
+    ledger.record_query(np.int64(7), count=np.int64(2))
+    assert (ledger.queries_Q, ledger.max_rate_index) == (8, 7)
+    assert type(ledger.queries_Q) is int and type(ledger.max_rate_index) is int
 
 
 def test_transit_record_validation():

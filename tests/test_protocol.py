@@ -304,7 +304,8 @@ def test_photon_zero_probability_refuses_a_register_over_the_cap(monkeypatch):
         raise Built
 
     monkeypatch.setattr(protocol, "_queried_state", stub)
-    for n_prime in (0, protocol.MAX_REGISTER_QUBITS + 1, 1000):
+    # a float or a bool is not a register width, even where `<<` or the cap check would take it
+    for n_prime in (0, protocol.MAX_REGISTER_QUBITS + 1, 1000, 2.5, True):
         with pytest.raises(ValueError, match="n_prime"):
             photon_zero_probability(n_prime, 0.25)
     with pytest.raises(Built):

@@ -16,7 +16,9 @@ from ticksync import (
     tqh_oracle,
     z_phase,
 )
+from ticksync.qsim import _axes, _born_table, _draw
 from reference import (
+    block_indices,
     dft_matrix,
     fourier_on_register,
     gather_fourier,
@@ -287,6 +289,27 @@ def test_register_blocks_match_gather_reference(num_qubits):
             assert outcome.value == value, register
             assert outcome.collapsed.amps.tobytes() == collapsed.tobytes(), register
         assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+class _Uniform:
+    # a generator whose every uniform is u
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_draw_helpers_pick_measures_value():
+    # the shared table and draw, fed the reference's gathered block, against
+    # measure on a top register (a reshape view) and on others (a transposed copy)
+    uniforms = [0.0, *np.random.default_rng(8).random(40), 0.5, np.nextafter(1.0, 0.0)]
+    for state in (StateVector(3, random_state(3, 9)), basis_state(3, 0b101)):
+        for register in ((1, 2), range(3), (2, 0), (0, 2, 1), (1,)):
+            assert (_axes(3, tuple(register)) is None) == (tuple(register) in ((1, 2), (0, 1, 2)))
+            _, cumsum, total = _born_table(state.amps[block_indices(3, register)])
+            for u in uniforms:
+                assert _draw(cumsum, total, _Uniform(u)) == measure(state, register, _Uniform(u)).value
 
 
 def test_indexed_phase_brute_force_enumeration():

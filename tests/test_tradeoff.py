@@ -23,9 +23,8 @@ from ticksync import (
     tradeoff_sweep,
     z_phase,
 )
-from ticksync.clock import _frac
-from ticksync.protocol import _queried_state
-from ticksync.tradeoff import _window_exponents, _windowed_estimate
+from ticksync import tradeoff
+from ticksync.tradeoff import _Window, _window_exponents, _windowed_estimate
 from ticksync.seeding import child_rng
 
 
@@ -272,18 +271,18 @@ def test_windowed_estimate_off_grid_phase_useful():
     # off the grid nothing is exact, but estimates should cluster nearby
     phi = 0.303
     exponents = _window_exponents(5, 1)
-    states = [_queried_state(ClockModel(_frac(phi * (1 << e)), 1.0), 1) for e in exponents]
+    windows = [_Window(phi, 1, e) for e in exponents]
     close = 0
     for seed in range(60):
         estimate, ledger = _windowed_estimate(
-            states, 5, 1, exponents, 3, child_rng(45, seed)
+            windows, 5, 1, exponents, 3, child_rng(45, seed)
         )
         close += circular_distance(estimate, phi) < 2 ** -4
         assert ledger.queries_Q == 3 * 31
     assert close >= 30
 
 
-def _sequential_window(clock, m, exponent, known_turns, rng, ledger, photons):
+def _sequential_window(clock, m, exponent, known_turns, rng, ledger, branches):
     # the window circuit built from scratch: 2**exponent single queries at
     # phase phi, each charged by the oracle
     reg = range(m)
@@ -291,7 +290,7 @@ def _sequential_window(clock, m, exponent, known_turns, rng, ledger, photons):
     for _ in range(1 << exponent):
         state = tqh_oracle(clock, state, reg, m, ledger)
     photon = measure(state, [m], rng)
-    photons.add((photon.value, known_turns > 0))
+    branches.add((exponent, photon.value, known_turns))
     state = photon.collapsed
     if known_turns > 0:
         sign = -1.0 if photon.value == 0 else 1.0
@@ -301,7 +300,7 @@ def _sequential_window(clock, m, exponent, known_turns, rng, ledger, photons):
     return (-window) % (1 << m) if photon.value == 1 else window
 
 
-def _sequential_estimate(phi, n_bits, m, passes, rng, photons):
+def _sequential_estimate(phi, n_bits, m, passes, rng, branches):
     # bits kept by position; the majority vote elects the smaller window on ties
     clock, ledger = ClockModel(phi, 1.0), ResourceLedger()
     exponents = _window_exponents(n_bits, m)
@@ -311,7 +310,7 @@ def _sequential_estimate(phi, n_bits, m, passes, rng, photons):
         for stage, e in enumerate(exponents):
             shift = n_bits - e - m
             known = sum(bits[b] << b for b in range(shift))
-            window = _sequential_window(clock, m, e, known / 2 ** (shift + m), rng, ledger, photons)
+            window = _sequential_window(clock, m, e, known / 2 ** (shift + m), rng, ledger, branches)
             votes[stage][window] = votes[stage].get(window, 0) + 1
             for b in range(m):
                 bits.setdefault(shift + b, (window >> b) & 1)
@@ -323,19 +322,27 @@ def _sequential_estimate(phi, n_bits, m, passes, rng, photons):
     return sum(bit << b for b, bit in bits.items()) / 2 ** n_bits, ledger
 
 
-def test_hoisted_windows_match_sequential_circuits():
-    # one queried state per window, reused by every pass and trial, against
-    # rebuilding the circuit per window: same draws, streams and ledgers
-    photons = set()
+def test_hoisted_windows_match_sequential_circuits(monkeypatch):
+    # one prepared set of windows per phase, shared by every pass, trial and
+    # seed, so later runs draw from cached register tables, against rebuilding
+    # the circuit per window: same draws, streams and ledgers
+    built = []
+    monkeypatch.setattr(tradeoff, "inverse_qft", lambda *a: built.append(1) or inverse_qft(*a))
+    seen = set()
     for n_bits, m, passes in ((4, 1, 3), (5, 2, 3), (5, 3, 1), (4, 4, 2)):
         exponents = _window_exponents(n_bits, m)
         for phi in (0.0, 5 / 16, 0.303, 0.77):
-            states = [_queried_state(ClockModel(_frac(phi * (1 << e)), 1.0), m) for e in exponents]
+            windows = [_Window(phi, m, e) for e in exponents]
+            built.clear()
+            branches = set()  # (window offset, photon bit, known_turns) the reference reached
             for seed in range(6):
                 rng, ref_rng = child_rng(71, seed), child_rng(71, seed)
-                phase, ledger = _windowed_estimate(states, n_bits, m, exponents, passes, rng)
-                ref = _sequential_estimate(phi, n_bits, m, passes, ref_rng, photons)
+                phase, ledger = _windowed_estimate(windows, n_bits, m, exponents, passes, rng)
+                ref = _sequential_estimate(phi, n_bits, m, passes, ref_rng, branches)
                 assert (phase, ledger) == ref
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
+            # one register state built per branch, where 6 * passes runs per window were made
+            assert len(built) == len(branches) < 6 * passes * len(windows)
+            seen |= {(bit, known > 0) for _, bit, known in branches}
     # both photon branches, with and without a known-bits correction
-    assert photons == {(0, False), (1, False), (0, True), (1, True)}
+    assert seen == {(0, False), (1, False), (0, True), (1, True)}
