@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import StateVector, indexed_phase, z_phase
+from .qsim import StateVector, _count, indexed_phase, z_phase
 
 # Slack allowed between t_B - t_A and t_tr + offset_T in a TransitRecord:
 # TRANSIT_CONSISTENCY_TOL seconds plus TRANSIT_CONSISTENCY_ULPS float steps
@@ -90,14 +90,6 @@ class ResourceLedger:
             self.max_rate_index = rate_index
 
 
-def _count(name: str, value, minimum: int) -> int:
-    """value as an int, if it is a Python or numpy integer (not a bool) of at
-    least minimum; a float is refused, not truncated.  Raises ValueError naming `name`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
 def _frac(t):
     """t mod 1, with the bits of t % 1.0 (signed zeros included): t - floor(t)
     is one rounding of the same exact value.  An array is reduced in place
@@ -126,13 +118,12 @@ def tqh_oracle(
     when one is given.  The turn table k * phi_star is reduced by `_frac` in
     place, so the query allocates no table beyond it.
     """
-    reg = tuple(int(q) for q in register)
-    count = 1 << len(reg)
+    count = 1 << len(register)
     turns = np.arange(count, dtype=np.float64)
     turns *= clock.phi_star
     turns = _frac(turns)
     turns *= 2.0 * np.pi
-    out = indexed_phase(state, reg, photon, turns)
+    out = indexed_phase(state, register, photon, turns)
     if ledger is not None:
         ledger.record_query(count - 1)
     return out

@@ -3,8 +3,9 @@
 Each setting is declared once, as an ExperimentSpec field carrying its key,
 text parser and help line; the CLI flags, config-file keys, integer checks
 and CSV metadata echo are generated from those fields.  SCENARIOS maps each
-scenario name to its function and the optional settings it accepts.  Beyond
-the grid-scan cap, ExperimentSpec admits by protocol's rules, not its own.
+scenario name to its function and the optional settings it accepts.  Every
+integer setting passes `qsim._count`.  Beyond the grid-scan cap and the
+tradeoff sweep's edge, ExperimentSpec admits by protocol's rules, not its own.
 
 Every scenario derives all randomness from the spec's seed and writes one
 UTF-8 CSV file: ``# key = value`` lines echoing the version, the settings in
@@ -41,7 +42,7 @@ from .protocol import (
     ProtocolConfig, loses_phase_bits, photon_zero_probability, run_sync,
     success_probability_exact, within_precision,
 )
-from .qsim import basis_state, hadamard
+from .qsim import _count, basis_state, hadamard
 from .seeding import child_rng
 from .tradeoff import (
     SUCCESS_THRESHOLD, classical_estimate, simulate_rate_k_with_unit_rate, single_rate_state,
@@ -55,6 +56,10 @@ _GRID_BITS = 4
 # builds one 2**(n + 1)-amplitude state for p_photon0 and boost sums
 # 2**(n' - n + 1) kernel weights.  sweep-phi admits n <= 9, boost n' <= 19.
 MAX_GRID_SCAN_AMPLITUDES = 1 << 24
+
+# Widest tradeoff sweep: its time grows about 2.6-fold per bit (20 trials on
+# one core: 6.2 s at n = 8, 43 s at n = 10), so n = 20 would take days.
+MAX_TRADEOFF_BITS = 10
 
 
 def _setting(key: str, parse, text: str, default=MISSING):
@@ -85,22 +90,17 @@ class ExperimentSpec:
             )
         for f in fields(self):
             key, value = f.metadata["key"], getattr(self, f.name)
-            # exactly int: bool is an int subclass, but True is not a bit count
-            if f.metadata["parse"] is int and type(value) is not int:
-                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if f.metadata["parse"] is int:  # a seed may be 0; n and trials start at 1
+                _count(key, value, 0 if key == "seed" else 1)
             # optional settings (default None) apply only where SCENARIOS accepts them
             if f.default is None and value is not None and f.name not in SCENARIOS[self.scenario][1]:
                 raise ValueError(
                     f"{key.replace('_', '-')} is not meaningful for scenario {self.scenario!r}"
                 )
-        if not 1 <= self.n_bits <= 20:
+        if self.n_bits > 20:
             raise ValueError(f"n must lie in [1, 20], got {self.n_bits}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
         if not (math.isfinite(self.omega0) and self.omega0 > 0):
             raise ValueError(f"omega0 must be positive, got {self.omega0!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.t_true is not None and not math.isfinite(self.t_true):
             raise ValueError("t-true must be finite")
         if self.scenario == "boost" and self.delta is None:
@@ -114,6 +114,8 @@ class ExperimentSpec:
         if self.scenario in ("sweep-phi", "boost") and values > MAX_GRID_SCAN_AMPLITUDES:
             raise ValueError(f"n={self.n_bits} makes the {self.scenario} grid scan compute "
                              f"{values} values, more than {MAX_GRID_SCAN_AMPLITUDES}")
+        if self.scenario == "tradeoff" and self.n_bits > MAX_TRADEOFF_BITS:
+            raise ValueError(f"n={self.n_bits} is past the tradeoff sweep's edge, n <= {MAX_TRADEOFF_BITS}")
 
 
 def _scenario_sync(spec: ExperimentSpec):

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clock import ClockModel, ResourceLedger, _count, _frac, tqh_oracle
-from .qsim import _INV_SQRT2, StateVector, inverse_qft, measure
+from .clock import ClockModel, ResourceLedger, _frac, tqh_oracle
+from .qsim import _INV_SQRT2, StateVector, _count, inverse_qft, measure
 
 # Widest register n' simulated: with the photon, 2**25 amplitudes (512 MiB) at 24.
 MAX_REGISTER_QUBITS = 24
@@ -64,8 +64,7 @@ def boosted_register_size(n_bits: int, delta: float) -> int:
     subtracted before the ceiling so dyadic deltas that land exactly on an
     integer boundary are not bumped a level by float rounding.
     """
-    if n_bits < 1:
-        raise ValueError("n_bits must be at least 1")
+    n_bits = _count("n_bits", n_bits, 1)
     if not (0.0 < delta < 0.5):
         raise ValueError(f"delta must lie in (0, 1/2), got {delta!r}")
     extra = math.ceil(math.log2(2.0 + 1.0 / (2.0 * delta)) - 1e-12)
@@ -80,8 +79,7 @@ class ProtocolConfig:
     delta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n_bits < 1:
-            raise ValueError("n_bits must be at least 1")
+        _count("n_bits", self.n_bits, 1)
         if self.effective_register > MAX_REGISTER_QUBITS:
             raise ValueError(f"delta={self.delta!r} and n_bits={self.n_bits} need {self.effective_register} "
                              f"register qubits, more than the {MAX_REGISTER_QUBITS} simulated")
@@ -211,9 +209,8 @@ def success_probability_exact(n_prime: int, phi, n_bits: int):
     and the kernel weights of the hits are summed, at most `_WEIGHT_BLOCK`
     weights at a time.  No sampling, no state.
     """
-    if n_prime < 1:
-        raise ValueError("register needs at least one qubit")
-    if not 1 <= n_bits <= n_prime:
+    n_prime, n_bits = _count("n_prime", n_prime, 1), _count("n_bits", n_bits, 1)
+    if n_bits > n_prime:
         raise ValueError(f"n_bits must lie in [1, {n_prime}], got {n_bits}")
     phis = _validated_phase(phi)
     d = n_prime - n_bits

@@ -5,7 +5,10 @@ so amplitude ``amps[i]`` belongs to the computational state whose qubit q
 holds bit ``(i >> q) & 1``.  All operations are functional: they validate
 their inputs, leave the argument untouched, and return a fresh state.
 Measurement randomness always comes from an explicit ``numpy.random.Generator``
-passed by the caller; nothing in this module reads a global stream.
+passed by the caller; nothing in this module reads a global stream.  Every
+qubit count and index passes `_count`, the library's one integer rule, so a
+float or bool is refused, never truncated.  A register names at least one
+qubit, and a phase map is a table of one angle per register value.
 
 Intended scale is a couple dozen qubits at most, as plain dense
 ``complex128`` vectors.  Small registers cost bookkeeping more than
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,8 +49,13 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # and slowed about threefold when that core was taken.  Longer states use einsum.
 _BLAS_NORM_MAX = 1 << 13
 
-# theta_of_k may be a callable on register values or a precomputed sequence
-PhaseMap = Callable[[int], float] | Sequence[float] | np.ndarray
+
+def _count(name: str, value, minimum: int) -> int:
+    """value as an int, if it is a Python or numpy integer (not a bool) of at
+    least minimum; a float is refused, not truncated.  Raises ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 class StateVector:
@@ -104,10 +112,9 @@ class MeasurementOutcome:
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
     """Computational basis state |index> on num_qubits qubits."""
-    if num_qubits < 1:
-        raise ValueError("state needs at least one qubit")
+    num_qubits, index = _count("num_qubits", num_qubits, 1), _count("index", index, 0)
     dim = 1 << num_qubits
-    if not 0 <= index < dim:
+    if index >= dim:
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     arr = np.zeros(dim, dtype=np.complex128)
     arr[index] = 1.0
@@ -115,21 +122,22 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
 
 
 def _check_qubit(state: StateVector, qubit: int, role: str = "qubit") -> int:
-    qubit = int(qubit)
-    if not 0 <= qubit < state.num_qubits:
+    qubit = _count(role, qubit, 0)
+    if qubit >= state.num_qubits:
         raise ValueError(f"{role} index {qubit} out of range for {state.num_qubits} qubits")
     return qubit
 
 
-# callers pass tuple(register), so a list, tuple or range share one entry; a
-# bad register raises again on every call, as lru_cache keeps no exceptions
-@lru_cache(maxsize=64)
-def _check_register(num_qubits: int, register: tuple, allow_empty: bool = False) -> tuple:
-    reg = tuple(int(q) for q in register)
-    if not reg and not allow_empty:
+# callers unpack the register, so a list, tuple or range share one entry, and
+# typed keys keep True or 1.0 off the entry of 1; a bad register raises again
+# on every call, as lru_cache keeps no exceptions
+@lru_cache(maxsize=64, typed=True)
+def _check_register(num_qubits: int, *register) -> tuple:
+    reg = tuple(_count("register qubit", q, 0) for q in register)
+    if not reg:
         raise ValueError("register must name at least one qubit")
     for q in reg:
-        if not 0 <= q < num_qubits:
+        if q >= num_qubits:
             raise ValueError(f"register qubit index {q} out of range for {num_qubits} qubits")
     if len(set(reg)) != len(reg):
         raise ValueError(f"register qubits must be distinct, got {reg}")
@@ -202,15 +210,10 @@ def z_phase(state: StateVector, target: int, theta: float) -> StateVector:
     return _diagonal(state, (target,), np.exp(1j * np.array([theta, -theta])))
 
 
-def _evaluate_phases(theta_of_k: PhaseMap, count: int) -> np.ndarray:
-    if callable(theta_of_k):
-        thetas = np.asarray([float(theta_of_k(k)) for k in range(count)], dtype=np.float64)
-    else:
-        thetas = np.asarray(theta_of_k, dtype=np.float64)
-        if thetas.shape != (count,):
-            raise ValueError(
-                f"phase table has shape {thetas.shape}, expected ({count},)"
-            )
+def _evaluate_phases(theta_of_k: Sequence[float] | np.ndarray, count: int) -> np.ndarray:
+    thetas = np.asarray(theta_of_k, dtype=np.float64)
+    if thetas.shape != (count,):
+        raise ValueError(f"phase table has shape {thetas.shape}, expected ({count},)")
     if not np.isfinite(thetas).all():
         raise ValueError("phase map must be finite for every register value")
     return thetas
@@ -220,21 +223,19 @@ def indexed_phase(
     state: StateVector,
     register: Sequence[int],
     photon: int,
-    theta_of_k: PhaseMap,
+    theta_of_k: Sequence[float] | np.ndarray,
 ) -> StateVector:
     """Register-controlled Z rotation of the photon qubit.
 
     For each register value k the photon qubit is rotated by z_phase with
-    angle theta_of_k(k), applied coherently across the superposition.  An
-    empty register degenerates to a plain z_phase with angle theta_of_k(0).
+    angle theta_of_k[k], applied coherently across the superposition.
 
     Args:
-        register: qubit indices holding k; register[0] is the LSB of k.
+        register: one or more qubit indices holding k; register[0] is the LSB of k.
         photon: qubit being rotated; must not appear in register.
-        theta_of_k: callable on range(2**len(register)), or a same-length
-            sequence of angles.
+        theta_of_k: table of 2**len(register) finite angles, indexed by k.
     """
-    reg = _check_register(state.num_qubits, tuple(register), allow_empty=True)
+    reg = _check_register(state.num_qubits, *register)
     photon = _check_qubit(state, photon, role="photon")
     if photon in reg:
         raise ValueError(f"photon qubit {photon} overlaps the register {reg}")
@@ -250,15 +251,16 @@ def indexed_phase(
 
 
 def diagonal_phase(
-    state: StateVector, register: Sequence[int], theta_of_k: PhaseMap
+    state: StateVector, register: Sequence[int], theta_of_k: Sequence[float] | np.ndarray
 ) -> StateVector:
-    """Diagonal rotation |k> -> e^{i*theta_of_k(k)} |k> on a register."""
-    reg = _check_register(state.num_qubits, tuple(register))
+    """Diagonal rotation |k> -> e^{i*theta_of_k[k]} |k> on a non-empty register,
+    from a table of 2**len(register) finite angles; register[0] is the LSB of k."""
+    reg = _check_register(state.num_qubits, *register)
     return _diagonal(state, reg, np.exp(1j * _evaluate_phases(theta_of_k, 1 << len(reg))))
 
 
 def _fourier(state: StateVector, register: Sequence[int], inverse: bool) -> StateVector:
-    reg = _check_register(state.num_qubits, tuple(register))
+    reg = _check_register(state.num_qubits, *register)
     axes = _axes(state.num_qubits, reg)
     block = (np.fft.fft if inverse else np.fft.ifft)(
         _block(state.amps, axes, 1 << len(reg)), axis=0, norm="ortho"
@@ -311,7 +313,7 @@ def measure(
         qubits: distinct qubit indices; an empty selection is rejected.
         rng: explicit random stream used for the Born-rule draw.
     """
-    reg = _check_register(state.num_qubits, tuple(qubits))
+    reg = _check_register(state.num_qubits, *qubits)
     axes = _axes(state.num_qubits, reg)
     block = _block(state.amps, axes, 1 << len(reg))
     weights, cumsum, total = _born_table(block)

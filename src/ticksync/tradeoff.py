@@ -45,10 +45,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clock import ClockModel, ResourceLedger, _count, _frac, fixed_rate_query
+from .clock import ClockModel, ResourceLedger, _frac, fixed_rate_query
 from .protocol import _fold_conjugate, _queried_state, within_precision
 from .qsim import StateVector, basis_state, diagonal_phase, hadamard, inverse_qft, measure
-from .qsim import _born_table, _draw
+from .qsim import _born_table, _count, _draw
 
 # the worst per-phase hit rate a point must reach, and the efforts tried in
 # turn to reach it: majority passes for F >= 2, sample counts for F = 1
@@ -66,17 +66,11 @@ class LowerBoundParams:
     Delta: float
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError("N must be positive")
-        if not 0 <= self.t <= self.N:
+        N, t = _count("N", self.N, 1), _count("t", self.t, 0)
+        if t > N:
             raise ValueError(f"t must lie in [0, N], got {self.t}")
         if not (math.isfinite(self.Delta) and self.Delta > 0):
             raise ValueError(f"Delta must be positive, got {self.Delta!r}")
-
-    @property
-    def a(self) -> float:
-        """Fractional tick density t/N."""
-        return self.t / self.N
 
 
 def nayak_wu_bound(params: LowerBoundParams) -> float:
@@ -294,14 +288,11 @@ def tradeoff_sweep(
     effort even if the threshold was not reached; the reported
     success_rate is honest either way.
     """
-    if n_target < 1:
-        raise ValueError("n_target must be at least 1")
-    if trials < 1:
-        raise ValueError("need at least one trial per grid phase")
+    n_target, trials = _count("n_target", n_target, 1), _count("trials", trials, 1)
     points = []
     for F in F_values:
-        F = int(F)
-        if F < 1 or (F & (F - 1)) != 0 or F > (1 << n_target):
+        F = _count("F", F, 1)
+        if (F & (F - 1)) != 0 or F > (1 << n_target):
             raise ValueError(
                 f"F must be a power of two in [1, 2**n_target], got {F}"
             )

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from ticksync import (
-    ClockModel, ExperimentSpec, ProtocolConfig, __version__, child_rng, run, run_sync,
-    success_probability_exact,
+    ClockModel, ExperimentSpec, LowerBoundParams, ProtocolConfig, __version__, basis_state,
+    boosted_register_size, child_rng, hadamard, indexed_phase, measure, qft, run, run_sync,
+    success_probability_exact, tradeoff_sweep,
 )
 from ticksync.cli import main, parse_config
 from ticksync.harness import _format_cell, _write_csv
@@ -55,6 +56,55 @@ def test_spec_validation():
 def test_spec_rejects_non_integer_counts(field, value):
     with pytest.raises(ValueError, match="must be an integer"):
         ExperimentSpec(scenario="sync", **{field: value})
+
+
+_STATE = basis_state(3, 0)
+
+# every count and qubit index the library takes: (the callee, the name its
+# refusal gives, a call on the value, the least value served)
+_COUNTS = [
+    ("basis_state", "num_qubits", lambda v: basis_state(v, 0), 1),
+    ("basis_state", "index", lambda v: basis_state(2, v), 0),
+    ("hadamard", "target", lambda v: hadamard(_STATE, v), 0),
+    ("indexed_phase", "photon", lambda v: indexed_phase(_STATE, (1,), v, [0.1, 0.2]), 0),
+    ("qft", "register qubit", lambda v: qft(_STATE, (2, v)), 0),
+    ("measure", "register qubit", lambda v: measure(_STATE, [v], child_rng(1)), 0),
+    ("boosted_register_size", "n_bits", lambda v: boosted_register_size(v, 0.1), 1),
+    ("ProtocolConfig", "n_bits", lambda v: ProtocolConfig(v), 1),
+    ("success_probability_exact", "n_prime", lambda v: success_probability_exact(v, 0.3, 1), 1),
+    ("success_probability_exact", "n_bits", lambda v: success_probability_exact(3, 0.3, v), 1),
+    ("tradeoff_sweep", "n_target", lambda v: tradeoff_sweep(v, [1], 1, child_rng(1)), 1),
+    ("tradeoff_sweep", "trials", lambda v: tradeoff_sweep(1, [1], v, child_rng(1)), 1),
+    ("tradeoff_sweep", "F", lambda v: tradeoff_sweep(1, [v], 1, child_rng(1)), 1),
+    ("LowerBoundParams", "N", lambda v: LowerBoundParams(v, 0, 1.0), 1),
+    ("LowerBoundParams", "t", lambda v: LowerBoundParams(4, v, 1.0), 0),
+    ("ExperimentSpec", "n", lambda v: ExperimentSpec(scenario="sync", n_bits=v), 1),
+    ("ExperimentSpec", "trials", lambda v: ExperimentSpec(scenario="sync", trials=v), 1),
+    ("ExperimentSpec", "seed", lambda v: ExperimentSpec(scenario="sync", seed=v), 0),
+]
+
+
+@pytest.mark.parametrize("name,call,minimum", [row[1:] for row in _COUNTS],
+                         ids=[f"{row[0]}.{row[1]}" for row in _COUNTS])
+def test_every_count_is_an_integer_or_refused(name, call, minimum):
+    # a float is refused, not truncated, and True is not a count
+    for value in (2.5, True, minimum - 1):
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            call(value)
+    call(np.int64(minimum))
+
+
+def test_qubit_indices_are_not_truncated():
+    # int() would truncate each to a valid qubit or basis index
+    with pytest.raises(ValueError, match="target"):
+        hadamard(_STATE, 1.7)
+    with pytest.raises(ValueError, match="register qubit"):
+        qft(_STATE, (0.4, 1.9))
+    measure(_STATE, [1], child_rng(1))  # a cached check of qubit 1 must not pass True
+    with pytest.raises(ValueError, match="register qubit"):
+        measure(_STATE, [True], child_rng(1))
+    with pytest.raises(ValueError, match="index"):
+        basis_state(2, True)
 
 
 def test_sync_rows_and_columns(tmp_path):
@@ -311,6 +361,17 @@ def test_grid_scan_cap_refuses_scans_that_cannot_finish(capsys):
     # the largest scans the tests, the README and the benchmark run
     ExperimentSpec(scenario="sweep-phi", n_bits=7)
     ExperimentSpec(scenario="boost", n_bits=5, delta=0.05)
+
+
+def test_tradeoff_sweep_edge(capsys):
+    # each bit costs about 2.6 times the time: n = 10 is the edge; specs only, nothing runs
+    ExperimentSpec(scenario="tradeoff", n_bits=10)
+    with pytest.raises(ValueError, match="n=11"):
+        ExperimentSpec(scenario="tradeoff", n_bits=11)
+    with pytest.raises(SystemExit) as err:
+        parse_config(["--scenario", "tradeoff", "--n", "11"])
+    assert err.value.code == 2
+    assert "n=11" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

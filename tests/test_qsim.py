@@ -226,6 +226,8 @@ def test_lean_ops_match_plain_numpy_bit_for_bit(num_qubits):
     perm = [int(q) for q in rng.permutation(num_qubits)]
     layouts = [(tuple(range(num_qubits - 1)), num_qubits - 1), (tuple(perm[1:]), perm[0])]
     for register, photon in layouts:
+        if not register:  # the photon alone, at one qubit: a register is never empty
+            continue
         thetas = rng.uniform(-7.0, 7.0, 1 << len(register))
         expected = plain_phase(amps, num_qubits, (*register, photon), np.concatenate([thetas, -thetas]))
         assert indexed_phase(state, register, photon, thetas).amps.tobytes() == expected.tobytes()
@@ -322,21 +324,21 @@ def test_indexed_phase_brute_force_enumeration():
         sign = -1.0 if (i >> 2) & 1 else 1.0
         expected[i] = amps[i] * np.exp(1j * sign * thetas[k])
     assert np.allclose(out.amps, expected, atol=ATOL)
-    # callable and table forms agree
-    out2 = indexed_phase(StateVector(3, amps), (0, 1), 2, lambda k: thetas[k])
-    assert np.allclose(out.amps, out2.amps, atol=0)
 
 
-def test_indexed_phase_empty_register_degenerates_to_z_phase():
-    amps = random_state(2, 9)
-    out = indexed_phase(StateVector(2, amps), (), 1, [0.77])
-    expected = z_phase(StateVector(2, amps), 1, 0.77)
-    assert np.allclose(out.amps, expected.amps, atol=ATOL)
+def test_indexed_phase_refuses_an_empty_register():
+    # the photon alone is a z_phase; the controlled form needs a register
+    state = StateVector(2, random_state(2, 9))
+    for _ in range(2):  # a cached check must not let the second call through
+        with pytest.raises(ValueError, match="at least one qubit"):
+            indexed_phase(state, (), 1, [0.77])
+    with pytest.raises(ValueError, match="at least one qubit"):
+        diagonal_phase(state, [], [0.77])
 
 
 def test_indexed_phase_constant_map_equals_z_phase():
     amps = random_state(4, 21)
-    out = indexed_phase(StateVector(4, amps), (0, 1, 3), 2, lambda k: 0.9)
+    out = indexed_phase(StateVector(4, amps), (0, 1, 3), 2, [0.9] * 8)
     expected = z_phase(StateVector(4, amps), 2, 0.9)
     assert np.allclose(out.amps, expected.amps, atol=ATOL)
 
@@ -348,7 +350,7 @@ def test_indexed_phase_rejects_bad_input():
     with pytest.raises(ValueError):
         indexed_phase(state, (0, 1), 2, [0.0] * 3)  # wrong table length
     with pytest.raises(ValueError):
-        indexed_phase(state, (0, 1), 2, lambda k: np.nan)
+        indexed_phase(state, (0, 1), 2, [0.0, 0.0, np.nan, 0.0])
     with pytest.raises(ValueError):
         indexed_phase(state, (0, 4), 2, [0.0] * 4)
 

@@ -210,7 +210,6 @@ def test_lower_bound_params_validation():
         LowerBoundParams(16, 8, 0.0)
     with pytest.raises(ValueError):
         LowerBoundParams(0, 0, 1.0)
-    assert LowerBoundParams(16, 4, 1.0).a == 0.25
 
 
 def test_window_exponents_tile_the_target():
