@@ -57,8 +57,9 @@ _GRID_BITS = 4
 # 2**(n' - n + 1) kernel weights.  sweep-phi admits n <= 9, boost n' <= 19.
 MAX_GRID_SCAN_AMPLITUDES = 1 << 24
 
-# Widest tradeoff sweep: its time grows about 2.6-fold per bit (20 trials on
-# one core: 6.2 s at n = 8, 43 s at n = 10), so n = 20 would take days.
+# Widest tradeoff sweep: its time grows about 2.4-fold per bit (20 trials,
+# seed 1, 2-vCPU VM: 5.6 s at n = 8, 31 s at n = 10, of which the F = 1 row,
+# at up to 2**17 samples, takes 0.7 s), so n = 20 would take days.
 MAX_TRADEOFF_BITS = 10
 
 

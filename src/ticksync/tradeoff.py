@@ -22,12 +22,12 @@ grows as F falls.  Three regimes are covered:
   A two-quadrature sampling estimator draws from the fringes
   cos^2(2*pi*phi) and cos^2(2*pi*phi + pi/4), written in closed form, and
   inverts the outcome frequencies; the sample count doubles from 16 to
-  2**15 until the target precision is reliably met.
+  2**18 until the target precision is reliably met.
 
 Both escalations share one scoring loop, `_scored_point`, which prepares
-each grid phase once per effort and grades the effort by its worst
-per-phase hit rate over the n-bit phase grid against the module constant
-SUCCESS_THRESHOLD = 0.9.
+each grid phase once per effort, makes all of its trials on one spawned
+stream, and grades the effort by its worst per-phase hit rate over the
+n-bit phase grid against the module constant SUCCESS_THRESHOLD = 0.9.
 
 Query accounting is uniform: every oracle invocation costs 1 regardless of
 how many rate branches it carries, and a query made in superposition is
@@ -54,7 +54,7 @@ from .qsim import _born_table, _count, _draw
 # turn to reach it: majority passes for F >= 2, sample counts for F = 1
 SUCCESS_THRESHOLD = 0.9
 PASS_COUNTS = range(1, 16, 2)
-SAMPLE_COUNTS = [16 << j for j in range(12)]  # 16, 32, ..., 2**15
+SAMPLE_COUNTS = [16 << j for j in range(15)]  # 16, 32, ..., 2**18
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ def single_rate_state(clock: ClockModel) -> StateVector:
 
 
 def classical_estimate(
-    clock: ClockModel, samples: int, rng: np.random.Generator
-) -> tuple[float, ResourceLedger]:
+    clock: ClockModel, samples: int, rng: np.random.Generator, size: int | None = None
+) -> tuple[float | np.ndarray, ResourceLedger]:
     """Estimate the offset from repeated unit-rate measurements.
 
     Draws `samples` shots from the direct fringe, p0 = cos^2(2*pi*phi), and
@@ -109,26 +109,30 @@ def classical_estimate(
     The observable only determines omega0*T mod 1/2, so estimates live in
     [0, 1/2); callers with phases in the upper half see the folded value.
 
-    Returns (T_hat, ledger); the ledger records 2*samples unit-rate queries.
-    samples must be a positive integer; a bool or float raises ValueError.
+    Returns (T_hat, ledger), T_hat a float, or with size=k an array of k
+    estimates from one (k, 2) binomial draw, the values of k scalar calls on
+    the same stream; the ledger records 2*samples unit-rate queries per
+    estimate.  samples and size must be positive integers; a bool or float
+    raises ValueError.
     """
     samples = _count("samples", samples, 1)
+    k = 1 if size is None else _count("size", size, 1)
     ledger = ResourceLedger()
 
     angle = 2.0 * math.pi * clock.phi_star
     p_direct = math.cos(angle) ** 2
     p_quad = math.cos(angle + math.pi / 4.0) ** 2
-    # each shot is one independent query; a binomial draw aggregates them
-    hits_direct = int(rng.binomial(samples, p_direct))
-    hits_quad = int(rng.binomial(samples, p_quad))
-    ledger.record_query(1, count=2 * samples)
+    # each shot is one independent query; a binomial draw aggregates them,
+    # row by row direct then quadrature, as k scalar pairs would draw
+    hits = rng.binomial(samples, (p_direct, p_quad), size=(k, 2))
+    ledger.record_query(1, count=2 * k * samples)
 
-    cos_hat = 2.0 * hits_direct / samples - 1.0
-    sin_hat = 1.0 - 2.0 * hits_quad / samples
-    folded = math.acos(min(1.0, max(-1.0, cos_hat))) / (4.0 * math.pi)
-    phi_hat = folded if sin_hat >= 0.0 else 0.5 - folded
-    phi_hat %= 0.5
-    return phi_hat / clock.omega0, ledger
+    cos_hat = 2.0 * hits[:, 0] / samples - 1.0
+    sin_hat = 1.0 - 2.0 * hits[:, 1] / samples
+    # libm's acos per value: numpy's SIMD arccos differs in the last bits
+    folded = np.array([math.acos(c) for c in cos_hat.tolist()]) / (4.0 * math.pi)
+    t_hat = np.where(sin_hat >= 0.0, folded, 0.5 - folded) % 0.5 / clock.omega0
+    return (float(t_hat[0]) if size is None else t_hat), ledger
 
 
 def simulate_rate_k_with_unit_rate(
@@ -210,13 +214,9 @@ def _measure_window(
 
 
 def _windowed_estimate(
-    windows: Sequence[_Window],
-    n_bits: int,
-    m: int,
-    exponents: Sequence[int],
-    passes: int,
-    rng: np.random.Generator,
-) -> tuple[float, ResourceLedger]:
+    windows: Sequence[_Window], n_bits: int, m: int, exponents: Sequence[int],
+    passes: int, rng: np.random.Generator, size: int | None = None,
+) -> tuple[float | np.ndarray, ResourceLedger]:
     """Full multi-window estimate of a phase with per-window majority voting.
 
     windows[i] is `_Window(phi, m, exponents[i])`, shared by every pass and
@@ -224,51 +224,53 @@ def _windowed_estimate(
     shift..shift+m-1 of the n_bits-bit phase integer, shift = n_bits - e - m.
     Windows are merged from bit 0 upward into a running value whose low
     `known` bits are set; where two windows overlap, the earlier read wins.
+    With size=k, k estimates are made back to back on rng and returned as an
+    array, their queries all charged to the one ledger.
     """
     ledger = ResourceLedger()
-    votes: list[Counter] = [Counter() for _ in exponents]
-    for _ in range(passes):
+    phases = []
+    for _ in range(1 if size is None else size):
+        votes: list[Counter] = [Counter() for _ in exponents]
+        for _ in range(passes):
+            value = known = 0
+            for stage, exponent in enumerate(exponents):
+                shift = n_bits - exponent - m
+                known_turns = (value & ((1 << shift) - 1)) / float(1 << (shift + m))
+                window = _measure_window(windows[stage], m, exponent, known_turns, rng, ledger)
+                votes[stage][window] += 1
+                value |= (window << shift) >> known << known
+                known = shift + m
         value = known = 0
-        for stage, exponent in enumerate(exponents):
+        for exponent, counter in zip(exponents, votes):
+            window = max(counter.items(), key=lambda kv: (kv[1], -kv[0]))[0]
             shift = n_bits - exponent - m
-            known_turns = (value & ((1 << shift) - 1)) / float(1 << (shift + m))
-            window = _measure_window(windows[stage], m, exponent, known_turns, rng, ledger)
-            votes[stage][window] += 1
             value |= (window << shift) >> known << known
             known = shift + m
-    value = known = 0
-    for exponent, counter in zip(exponents, votes):
-        window = max(counter.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-        shift = n_bits - exponent - m
-        value |= (window << shift) >> known << known
-        known = shift + m
-    return value / float(1 << n_bits), ledger
+        phases.append(value / float(1 << n_bits))
+    return (phases[0] if size is None else np.array(phases)), ledger
 
 
 def _scored_point(
     F: int, n_bits: int, grid_size: int, efforts: Sequence[int],
-    prepare: Callable[[float], Callable[[int, np.random.Generator], tuple[float, ResourceLedger]]],
+    prepare: Callable[[float], Callable[..., tuple[np.ndarray, ResourceLedger]]],
     trials: int, rng: np.random.Generator,
 ) -> TradeoffPoint:
     """Escalate effort until the worst per-phase hit rate meets SUCCESS_THRESHOLD.
 
     At each effort, for each of the first grid_size n_bits-bit phases phi,
-    `prepare(phi)` runs once, and the `estimate(effort, stream)` it returns
-    runs `trials` times, every run on its own spawned stream; Q is the query
-    count of the last run's ledger.  Only one phase is prepared at a time.
+    `prepare(phi)` runs once, and the `estimate(effort, stream, trials)` it
+    returns makes all `trials` estimates on one spawned stream.  Every
+    estimate at one effort costs the same, so Q is the batch ledger's query
+    count over trials.  Only one phase is prepared at a time.
     """
     worst, queries = 0.0, 0
     for effort in efforts:
         worst = 1.0
         for g in range(grid_size):
             phi = g / float(1 << n_bits)
-            estimate = prepare(phi)
-            hits = 0
-            for _ in range(trials):
-                phase, ledger = estimate(effort, rng.spawn(1)[0])
-                queries = ledger.queries_Q
-                hits += bool(within_precision(phase, phi, n_bits))
-            worst = min(worst, hits / trials)
+            phases, ledger = prepare(phi)(effort, rng.spawn(1)[0], trials)
+            queries = ledger.queries_Q // trials
+            worst = min(worst, float(np.mean(within_precision(phases, phi, n_bits))))
         if worst >= SUCCESS_THRESHOLD:
             break
     return TradeoffPoint(F=F, Q=queries, n_bits_achieved=n_bits, success_rate=worst)
@@ -284,33 +286,25 @@ def tradeoff_sweep(
     F = 1) until the worst-case per-phase success rate over the
     n_target-bit phase grid reaches SUCCESS_THRESHOLD, then records the
     per-estimate query count Q read off an actual run ledger.  `trials`
-    estimates are scored per grid phase.  Escalation stops at the last
-    effort even if the threshold was not reached; the reported
-    success_rate is honest either way.
+    estimates are scored per grid phase, all drawn from one stream.
+    Escalation stops at the last effort even if the threshold was not
+    reached; the reported success_rate is honest either way.
     """
     n_target, trials = _count("n_target", n_target, 1), _count("trials", trials, 1)
     points = []
     for F in F_values:
         F = _count("F", F, 1)
         if (F & (F - 1)) != 0 or F > (1 << n_target):
-            raise ValueError(
-                f"F must be a power of two in [1, 2**n_target], got {F}"
-            )
+            raise ValueError(f"F must be a power of two in [1, 2**n_target], got {F}")
         m = F.bit_length() - 1
         if m == 0:
             # the estimator reads phases mod 1/2, so only that half of the grid is scored
-            point = _scored_point(
-                F, n_target, 1 << (n_target - 1), SAMPLE_COUNTS,
-                lambda phi: partial(classical_estimate, ClockModel(phi, 1.0)),
-                trials, rng,
-            )
+            grid, efforts = 1 << (n_target - 1), SAMPLE_COUNTS
+            prepare = lambda phi: partial(classical_estimate, ClockModel(phi, 1.0))
         else:
             exponents = _window_exponents(n_target, m)
-            point = _scored_point(
-                F, n_target, 1 << n_target, PASS_COUNTS,
-                lambda phi: partial(_windowed_estimate, [_Window(phi, m, e) for e in exponents],
-                                    n_target, m, exponents),
-                trials, rng,
-            )
-        points.append(point)
+            grid, efforts = 1 << n_target, PASS_COUNTS
+            prepare = lambda phi: partial(_windowed_estimate, [_Window(phi, m, e) for e in exponents],
+                                          n_target, m, exponents)
+        points.append(_scored_point(F, n_target, grid, efforts, prepare, trials, rng))
     return points

@@ -175,3 +175,33 @@ def gather_sync_draw(n_prime: int, phi: float, rng) -> tuple[int, int]:
     photon, amps = gather_measure(amps, n_prime + 1, [n_prime], rng)
     m, _ = gather_measure(gather_fourier(amps, n_prime, reg, inverse=True), n_prime, reg, rng)
     return ((1 << n_prime) - m) % (1 << n_prime) if photon else m, photon
+
+
+def plain_classical_estimate(phi: float, samples: int, rng) -> float:
+    """One two-fringe estimate of phi mod 1/2: binomial shots of the direct
+    fringe cos^2(2 pi phi), then of the quadrature cos^2(2 pi phi + pi/4),
+    inverted by arccos, the quadrature's majority picking the half."""
+    angle = 2.0 * math.pi * phi
+    hits_direct = int(rng.binomial(samples, math.cos(angle) ** 2))
+    hits_quad = int(rng.binomial(samples, math.cos(angle + math.pi / 4.0) ** 2))
+    folded = math.acos(2.0 * hits_direct / samples - 1.0) / (4.0 * math.pi)
+    return (folded if 2 * hits_quad <= samples else 0.5 - folded) % 0.5
+
+
+def classical_tradeoff_row(n_bits: int, trials: int, rng, sample_counts, threshold) -> tuple[int, float]:
+    """(Q, worst hit rate) of the F = 1 tradeoff row, by plain loops.  At each
+    sample count in turn, each phase g / 2**n_bits, g < 2**(n_bits - 1), gets
+    one rng.spawn(1) stream and `trials` scalar estimates from it; a hit lies
+    at circular distance below 2**-n_bits.  Stops at the first count whose
+    worst rate meets threshold; Q is 2 * samples queries."""
+    for samples in sample_counts:
+        worst = 1.0
+        for g in range(1 << (n_bits - 1)):
+            phi = g / 2**n_bits
+            stream = rng.spawn(1)[0]
+            estimates = [plain_classical_estimate(phi, samples, stream) for _ in range(trials)]
+            hits = sum(circular_distance(t, phi) < 2.0**-n_bits for t in estimates)
+            worst = min(worst, hits / trials)
+        if worst >= threshold:
+            break
+    return 2 * samples, worst

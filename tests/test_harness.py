@@ -471,3 +471,14 @@ def test_float_cells_round_trip_exactly(tmp_path):
     # numpy scalars write as their Python values
     assert _format_cell(np.float64(0.1)) == "0.1"
     assert _format_cell(np.bool_(True)) == "1"
+
+
+def test_child_rng_refuses_bools_and_floats_naming_the_argument():
+    for args, name in (((True, 0), "seed"), ((1.5, 0), "seed"), ((-1,), "seed"),
+                       ((1, True), "path element"), ((1, 0, 2.5), "path element")):
+        with pytest.raises(ValueError, match=name):
+            child_rng(*args)
+    # Python and numpy integers keep the streams they had
+    ref = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(2, 3))).random(4)
+    assert child_rng(7, 2, 3).random(4).tolist() == ref.tolist()
+    assert child_rng(np.int64(7), np.uint8(2), np.int32(3)).random(4).tolist() == ref.tolist()

@@ -24,8 +24,11 @@ from ticksync import (
     z_phase,
 )
 from ticksync import tradeoff
+from ticksync.harness import MAX_TRADEOFF_BITS
 from ticksync.tradeoff import _Window, _window_exponents, _windowed_estimate
 from ticksync.seeding import child_rng
+
+from reference import classical_tradeoff_row
 
 
 def test_single_rate_state_probabilities():
@@ -91,9 +94,9 @@ class _RecordedDraws:
     def __init__(self, rng):
         self.rng, self.p = rng, []
 
-    def binomial(self, n, p):
-        self.p.append(p)
-        return self.rng.binomial(n, p)
+    def binomial(self, n, p, size=None):
+        self.p.extend(np.ravel(p))
+        return self.rng.binomial(n, p, size)
 
 
 def test_classical_estimate_matches_the_circuit_fringes():
@@ -107,6 +110,43 @@ def test_classical_estimate_matches_the_circuit_fringes():
             )
             assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
             assert np.max(np.abs(np.subtract(rng.p, ref_rng.p))) <= 1e-15
+def test_classical_estimate_size_matches_scalar_calls_on_one_stream():
+    # one (k, 2) draw gives the values, draw for draw, of k scalar calls that
+    # each draw direct then quadrature, and charges the queries of all k
+    for samples in (16, 1000, 32768, 1 << 18):
+        for i, phi in enumerate((0.0, 0.1, 0.3, 0.45, 0.7, 0.9)):
+            clock = ClockModel(phi / 2.0, 2.0)
+            rng, ref_rng = child_rng(33, samples, i), child_rng(33, samples, i)
+            t_hats, ledger = classical_estimate(clock, samples, rng, size=7)
+            ref = [classical_estimate(clock, samples, ref_rng) for _ in range(7)]
+            assert t_hats.tolist() == [t for t, _ in ref]
+            assert ledger.queries_Q == sum(r.queries_Q for _, r in ref) == 14 * samples
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for size in (0, True, 2.5):
+        with pytest.raises(ValueError, match="size"):
+            classical_estimate(ClockModel(0.1, 1.0), 16, child_rng(0), size=size)
+
+
+def test_classical_row_matches_a_plain_loop_of_scalar_estimates():
+    # one spawned stream per (sample count, grid phase), every trial drawn from it
+    for n_bits in (1, 2, 4, 6):
+        for seed in (1, 2, 3):
+            (point,) = tradeoff_sweep(n_bits, [1], 20, child_rng(seed, 5))
+            ref = classical_tradeoff_row(
+                n_bits, 20, child_rng(seed, 5), tradeoff.SAMPLE_COUNTS, tradeoff.SUCCESS_THRESHOLD
+            )
+            assert (point.Q, point.success_rate) == ref
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_classical_row_meets_the_threshold_at_the_tradeoff_edge(seed):
+    # fringe sampling needs about four times the samples per bit: the F = 1
+    # row at the widest admitted n runs up to 2**16 or 2**17 samples
+    (point,) = tradeoff_sweep(MAX_TRADEOFF_BITS, [1], 20, child_rng(seed, 5))
+    assert point.success_rate >= tradeoff.SUCCESS_THRESHOLD
+    assert point.Q <= 2 * tradeoff.SAMPLE_COUNTS[-1]
+
+
 def test_classical_estimate_converges_both_halves():
     # one phase per arccos branch; 10^4 samples pins each to ~1e-2
     for phi in (1 / 16, 0.3):
