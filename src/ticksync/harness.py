@@ -334,8 +334,11 @@ def _scenario_tradeoff(spec: ExperimentSpec):
     implied_c = 0.0
     for point in points:
         fq = point.F * point.Q
-        min_fq = min(min_fq, fq)
-        implied_c = max(implied_c, n - math.log2(fq))
+        # a row that missed the threshold did not buy n bits with its queries;
+        # the F = 2**n row always meets it, so both values stay defined
+        if point.success_rate >= SUCCESS_THRESHOLD:
+            min_fq = min(min_fq, fq)
+            implied_c = max(implied_c, n - math.log2(fq))
         rows.append(
             (point.F, point.Q, point.n_bits_achieved, float(point.success_rate), fq)
         )

@@ -63,7 +63,8 @@ class StateVector:
 
     The constructor copies the amplitude buffer, checks the length, rejects
     non-finite entries, and rejects vectors whose squared norm strays more
-    than NORM_TOL from 1.  Zero-qubit registers are rejected outright.
+    than NORM_TOL from 1.  num_qubits passes `_count`: at least 1, never a
+    bool or float.
     copy=False adopts the buffer instead of copying it when it is already
     contiguous complex128; ops pass their freshly built results that way.
     The checks run either way.
@@ -72,8 +73,7 @@ class StateVector:
     __slots__ = ("num_qubits", "amps")
 
     def __init__(self, num_qubits: int, amps: Iterable[complex], *, copy: bool = True) -> None:
-        if num_qubits < 1:
-            raise ValueError("state needs at least one qubit")
+        num_qubits = _count("num_qubits", num_qubits, 1)
         arr = (np.array if copy else np.asarray)(amps, dtype=np.complex128, order="C")
         dim = 1 << num_qubits
         if arr.shape != (dim,):

@@ -12,22 +12,23 @@ grows as F falls.  Three regimes are covered:
   offset), made as one query at phase 2**e * phi mod 1.  The first window
   reads the lowest m bits; each later one reads the next bits up, with the
   already-known low bits cancelled by an in-circuit diagonal correction,
-  and the windows merge as plain integers.  Windows are re-run in passes
-  (1, 3, ..., 15) with a per-window majority vote when one pass is not
-  reliable enough.  Each window's queried state is built once per grid
-  phase and effort.  Every run charges its 2**e queries and measures the
-  photon; the register value is drawn, by `qsim.measure`'s rule, from a Born
-  table built on the first run of its photon branch at that phase.
+  and the windows merge as plain integers.  On the n-bit grid phases the
+  sweep scores every window read is exact, so each estimate is one walk
+  over the windows and each grid phase is scored once.  Each window's
+  queried state is built once per grid phase.  Every run charges its 2**e
+  queries and measures the photon; the register value is drawn, by
+  `qsim.measure`'s rule, from a Born table built on the first run of its
+  photon branch at that phase.
 * F = 1: no usable quantum phase, only the fixed unit-rate observable.
   A two-quadrature sampling estimator draws from the fringes
   cos^2(2*pi*phi) and cos^2(2*pi*phi + pi/4), written in closed form, and
   inverts the outcome frequencies; the sample count doubles from 16 to
   2**18 until the target precision is reliably met.
 
-Both escalations share one scoring loop, `_scored_point`, which prepares
-each grid phase once per effort, makes all of its trials on one spawned
-stream, and grades the effort by its worst per-phase hit rate over the
-n-bit phase grid against the module constant SUCCESS_THRESHOLD = 0.9.
+Both share one scoring loop, `_scored_point`, which prepares each grid
+phase once per effort, makes all of its trials on one spawned stream, and
+grades the effort by its worst per-phase hit rate over the n-bit phase
+grid against the module constant SUCCESS_THRESHOLD = 0.9.
 
 Query accounting is uniform: every oracle invocation costs 1 regardless of
 how many rate branches it carries, and a query made in superposition is
@@ -38,7 +39,6 @@ bound that the measured F*Q products are compared against.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -50,10 +50,9 @@ from .protocol import _fold_conjugate, _queried_state, within_precision
 from .qsim import StateVector, basis_state, diagonal_phase, hadamard, inverse_qft, measure
 from .qsim import _born_table, _count, _draw
 
-# the worst per-phase hit rate a point must reach, and the efforts tried in
-# turn to reach it: majority passes for F >= 2, sample counts for F = 1
+# the worst per-phase hit rate a point must reach, and the sample counts the
+# F = 1 row tries in turn to reach it
 SUCCESS_THRESHOLD = 0.9
-PASS_COUNTS = range(1, 16, 2)
 SAMPLE_COUNTS = [16 << j for j in range(15)]  # 16, 32, ..., 2**18
 
 
@@ -215,50 +214,40 @@ def _measure_window(
 
 def _windowed_estimate(
     windows: Sequence[_Window], n_bits: int, m: int, exponents: Sequence[int],
-    passes: int, rng: np.random.Generator, size: int | None = None,
-) -> tuple[float | np.ndarray, ResourceLedger]:
-    """Full multi-window estimate of a phase with per-window majority voting.
+    rng: np.random.Generator, trials: int,
+) -> tuple[np.ndarray, ResourceLedger]:
+    """`trials` multi-window estimates of a phase, made back to back on rng.
 
-    windows[i] is `_Window(phi, m, exponents[i])`, shared by every pass and
-    every run the caller makes at phi.  The window at offset e reads bits
-    shift..shift+m-1 of the n_bits-bit phase integer, shift = n_bits - e - m.
-    Windows are merged from bit 0 upward into a running value whose low
-    `known` bits are set; where two windows overlap, the earlier read wins.
-    With size=k, k estimates are made back to back on rng and returned as an
-    array, their queries all charged to the one ledger.
+    windows[i] is `_Window(phi, m, exponents[i])`, shared by every run the
+    caller makes at phi.  The window at offset e reads bits shift..shift+m-1
+    of the n_bits-bit phase integer, shift = n_bits - e - m.  Each estimate
+    walks the windows once, merging them from bit 0 upward into a running
+    value whose low `known` bits are set; where two windows overlap, the
+    earlier read wins.  Every estimate's queries are charged to the one ledger.
     """
     ledger = ResourceLedger()
-    phases = []
-    for _ in range(1 if size is None else size):
-        votes: list[Counter] = [Counter() for _ in exponents]
-        for _ in range(passes):
-            value = known = 0
-            for stage, exponent in enumerate(exponents):
-                shift = n_bits - exponent - m
-                known_turns = (value & ((1 << shift) - 1)) / float(1 << (shift + m))
-                window = _measure_window(windows[stage], m, exponent, known_turns, rng, ledger)
-                votes[stage][window] += 1
-                value |= (window << shift) >> known << known
-                known = shift + m
+    phases = np.empty(trials)
+    for trial in range(trials):
         value = known = 0
-        for exponent, counter in zip(exponents, votes):
-            window = max(counter.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        for window, exponent in zip(windows, exponents):
             shift = n_bits - exponent - m
-            value |= (window << shift) >> known << known
+            known_turns = (value & ((1 << shift) - 1)) / float(1 << (shift + m))
+            read = _measure_window(window, m, exponent, known_turns, rng, ledger)
+            value |= (read << shift) >> known << known
             known = shift + m
-        phases.append(value / float(1 << n_bits))
-    return (phases[0] if size is None else np.array(phases)), ledger
+        phases[trial] = value / float(1 << n_bits)
+    return phases, ledger
 
 
 def _scored_point(
-    F: int, n_bits: int, grid_size: int, efforts: Sequence[int],
-    prepare: Callable[[float], Callable[..., tuple[np.ndarray, ResourceLedger]]],
+    F: int, n_bits: int, grid_size: int, efforts: Sequence,
+    prepare: Callable[..., Callable[..., tuple[np.ndarray, ResourceLedger]]],
     trials: int, rng: np.random.Generator,
 ) -> TradeoffPoint:
     """Escalate effort until the worst per-phase hit rate meets SUCCESS_THRESHOLD.
 
     At each effort, for each of the first grid_size n_bits-bit phases phi,
-    `prepare(phi)` runs once, and the `estimate(effort, stream, trials)` it
+    `prepare(phi, effort)` runs once, and the `estimate(stream, trials)` it
     returns makes all `trials` estimates on one spawned stream.  Every
     estimate at one effort costs the same, so Q is the batch ledger's query
     count over trials.  Only one phase is prepared at a time.
@@ -268,7 +257,7 @@ def _scored_point(
         worst = 1.0
         for g in range(grid_size):
             phi = g / float(1 << n_bits)
-            phases, ledger = prepare(phi)(effort, rng.spawn(1)[0], trials)
+            phases, ledger = prepare(phi, effort)(rng.spawn(1)[0], trials)
             queries = ledger.queries_Q // trials
             worst = min(worst, float(np.mean(within_precision(phases, phi, n_bits))))
         if worst >= SUCCESS_THRESHOLD:
@@ -281,14 +270,14 @@ def tradeoff_sweep(
 ) -> list[TradeoffPoint]:
     """Measure the queries needed for n_target bits at each range F.
 
-    For every F (a power of two up to 2**n_target) the sweep escalates
-    effort (PASS_COUNTS majority passes, or SAMPLE_COUNTS samples when
-    F = 1) until the worst-case per-phase success rate over the
-    n_target-bit phase grid reaches SUCCESS_THRESHOLD, then records the
-    per-estimate query count Q read off an actual run ledger.  `trials`
-    estimates are scored per grid phase, all drawn from one stream.
-    Escalation stops at the last effort even if the threshold was not
-    reached; the reported success_rate is honest either way.
+    For every F (a power of two up to 2**n_target) the sweep scores the
+    worst-case per-phase success rate over the n_target-bit phase grid
+    against SUCCESS_THRESHOLD and records the per-estimate query count Q read
+    off an actual run ledger.  F = 1 escalates through SAMPLE_COUNTS until
+    the threshold is met, or stops at the last count; F >= 2 makes one walk
+    over its windows per estimate and is scored once.  The reported
+    success_rate is honest either way.  `trials` estimates are scored per
+    grid phase, all drawn from one stream.
     """
     n_target, trials = _count("n_target", n_target, 1), _count("trials", trials, 1)
     points = []
@@ -300,11 +289,12 @@ def tradeoff_sweep(
         if m == 0:
             # the estimator reads phases mod 1/2, so only that half of the grid is scored
             grid, efforts = 1 << (n_target - 1), SAMPLE_COUNTS
-            prepare = lambda phi: partial(classical_estimate, ClockModel(phi, 1.0))
+            prepare = lambda phi, samples: partial(classical_estimate, ClockModel(phi, 1.0), samples)
         else:
+            # every window read on the grid is exact: one effort, no escalation
             exponents = _window_exponents(n_target, m)
-            grid, efforts = 1 << n_target, PASS_COUNTS
-            prepare = lambda phi: partial(_windowed_estimate, [_Window(phi, m, e) for e in exponents],
-                                          n_target, m, exponents)
+            grid, efforts = 1 << n_target, [None]
+            prepare = lambda phi, _: partial(_windowed_estimate, [_Window(phi, m, e) for e in exponents],
+                                             n_target, m, exponents)
         points.append(_scored_point(F, n_target, grid, efforts, prepare, trials, rng))
     return points

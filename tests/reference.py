@@ -165,16 +165,49 @@ def gather_measure(amps, num_qubits, qubits, rng) -> tuple[int, np.ndarray]:
     return value, survivor / math.sqrt(weights[value])
 
 
+def plain_window(m: int, phi: float, repeats: int, known_turns: float, rng) -> tuple[int, int]:
+    """(read, photon_bit) of one m-qubit phase-estimation window, built from
+    the plain oracle and the gather forms above: prepared state, `repeats`
+    single queries at phase phi, photon measurement, a rotation by
+    -known_turns per register unit (+ on photon |1>), inverse QFT, register
+    measurement, conjugate fold.  known_turns = 0 gives the protocol's run."""
+    reg = range(m)
+    amps = np.full(2 << m, (1.0 / math.sqrt(2**m)) * (1.0 / math.sqrt(2.0)), dtype=complex)
+    for _ in range(repeats):
+        amps = plain_oracle(amps, m + 1, reg, m, phi)
+    photon, amps = gather_measure(amps, m + 1, [m], rng)
+    sign = 1.0 if photon else -1.0
+    amps = plain_phase(amps, m, reg, 2.0 * np.pi * sign * ((np.arange(1 << m) * known_turns) % 1.0))
+    read, _ = gather_measure(gather_fourier(amps, m, reg, inverse=True), m, reg, rng)
+    return ((1 << m) - read) % (1 << m) if photon else read, photon
+
+
 def gather_sync_draw(n_prime: int, phi: float, rng) -> tuple[int, int]:
-    """(raw_m, photon_bit) of one protocol run, built from the plain oracle
-    and the gather forms above: prepared state, one query, photon
-    measurement, inverse QFT, register measurement, conjugate fold."""
-    reg = range(n_prime)
-    amps = np.full(2 << n_prime, (1.0 / math.sqrt(2**n_prime)) * (1.0 / math.sqrt(2.0)), dtype=complex)
-    amps = plain_oracle(amps, n_prime + 1, reg, n_prime, phi)
-    photon, amps = gather_measure(amps, n_prime + 1, [n_prime], rng)
-    m, _ = gather_measure(gather_fourier(amps, n_prime, reg, inverse=True), n_prime, reg, rng)
-    return ((1 << n_prime) - m) % (1 << n_prime) if photon else m, photon
+    """(raw_m, photon_bit) of one protocol run: `plain_window` with one query."""
+    return plain_window(n_prime, phi, 1, 0.0, rng)
+
+
+def plain_windowed_estimate(phi: float, n_bits: int, m: int, rng, branches: set) -> tuple[float, int]:
+    """(estimate, queries) of one Kitaev-style walk over m-qubit windows.
+
+    The window at bit offset e makes 2**e single queries and reads bits
+    n_bits - e - m .. n_bits - e - 1 of the n_bits-bit phase; offsets run
+    n_bits - m, n_bits - 2m, ... down to 0, so the first window holds the
+    lowest bits.  The bits below a window, already read, are cancelled as
+    known_turns; bits are kept by position and the earlier read wins where
+    windows overlap.  Adds (offset, photon bit, known_turns) of each window
+    run to `branches`."""
+    offsets = list(range(n_bits - m, 0, -m)) + [0]
+    bits, queries = {}, 0  # bit position -> bit
+    for e in offsets:
+        shift = n_bits - e - m
+        known_turns = sum(bits[b] << b for b in range(shift)) / 2 ** (shift + m)
+        read, photon = plain_window(m, phi, 1 << e, known_turns, rng)
+        queries += 1 << e
+        branches.add((e, photon, known_turns))
+        for b in range(m):
+            bits.setdefault(shift + b, (read >> b) & 1)
+    return sum(bit << b for b, bit in bits.items()) / 2**n_bits, queries
 
 
 def plain_classical_estimate(phi: float, samples: int, rng) -> float:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from ticksync import (
-    ClockModel, ExperimentSpec, LowerBoundParams, ProtocolConfig, __version__, basis_state,
-    boosted_register_size, child_rng, hadamard, indexed_phase, measure, qft, run, run_sync,
-    success_probability_exact, tradeoff_sweep,
+    ClockModel, ExperimentSpec, LowerBoundParams, ProtocolConfig, StateVector, __version__,
+    basis_state, boosted_register_size, child_rng, hadamard, indexed_phase, measure, qft, run,
+    run_sync, success_probability_exact, tradeoff, tradeoff_sweep,
 )
 from ticksync.cli import main, parse_config
 from ticksync.harness import _format_cell, _write_csv
@@ -63,6 +63,7 @@ _STATE = basis_state(3, 0)
 # every count and qubit index the library takes: (the callee, the name its
 # refusal gives, a call on the value, the least value served)
 _COUNTS = [
+    ("StateVector", "num_qubits", lambda v: StateVector(v, [1, 0]), 1),
     ("basis_state", "num_qubits", lambda v: basis_state(v, 0), 1),
     ("basis_state", "index", lambda v: basis_state(2, v), 0),
     ("hadamard", "target", lambda v: hadamard(_STATE, v), 0),
@@ -248,6 +249,21 @@ def test_tradeoff_scenario(tmp_path):
     assert rows[-1][1] == "1"
     for row in rows:
         assert int(row[4]) == int(row[0]) * int(row[1])
+
+
+def test_tradeoff_summary_leaves_unmet_rows_out(tmp_path, capsys, monkeypatch):
+    # 16 fringe samples cannot read 6 bits: the F = 1 row stays in the CSV
+    # with its honest rate, but its F*Q = 32 bounds neither min_FQ nor implied_c
+    monkeypatch.setattr(tradeoff, "SAMPLE_COUNTS", [16])
+    spec = ExperimentSpec(
+        scenario="tradeoff", n_bits=6, trials=5, seed=1, output_path=str(tmp_path / "t.csv")
+    )
+    assert run(spec) == 0
+    _, _, rows = _read(tmp_path / "t.csv")
+    assert (rows[0][0], rows[0][1], rows[0][4]) == ("1", "32", "32")
+    assert float(rows[0][3]) < tradeoff.SUCCESS_THRESHOLD
+    assert all(float(r[3]) == 1.0 for r in rows[1:])
+    assert "min_FQ=64 implied_c=0.00 " in capsys.readouterr().out
 
 
 def test_run_reports_unwritable_path(tmp_path, capsys):
