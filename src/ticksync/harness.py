@@ -57,9 +57,9 @@ _GRID_BITS = 4
 # 2**(n' - n + 1) kernel weights.  sweep-phi admits n <= 9, boost n' <= 19.
 MAX_GRID_SCAN_AMPLITUDES = 1 << 24
 
-# Widest tradeoff sweep: its time grows about 2.4-fold per bit (20 trials,
-# seed 1, 2-vCPU VM: 5.6 s at n = 8, 31 s at n = 10, of which the F = 1 row,
-# at up to 2**17 samples, takes 0.7 s), so n = 20 would take days.
+# Widest tradeoff sweep: its time grows two- to threefold per bit (20 trials,
+# seed 1, 2-vCPU VM: 3.6 s at n = 8, 25 s at n = 10, of which the exact F = 1
+# row, up to 2**16 samples, takes 0.6 s), so n = 20 would take days.
 MAX_TRADEOFF_BITS = 10
 
 

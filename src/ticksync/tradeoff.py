@@ -4,31 +4,25 @@ The coherent protocol reads n bits of clock phase in one query because its
 rate register spans tick multipliers 0..2**n-1.  This module probes what
 happens when the available multiplier range F shrinks: rates outside the
 range are synthesized by repeating capped queries, so the query count Q
-grows as F falls.  Three regimes are covered:
+grows as F falls.  Each point is graded by its worst per-phase success on
+the n-bit phase grid against SUCCESS_THRESHOLD = 0.9.  Three regimes:
 
 * F = 2**n: the full protocol, Q = 1.
 * 2 <= F = 2**m < 2**n: windowed phase estimation.  Each window runs the
-  protocol's circuit on m qubits with 2**e queries (e the window's bit
-  offset), made as one query at phase 2**e * phi mod 1.  The first window
-  reads the lowest m bits; each later one reads the next bits up, with the
-  already-known low bits cancelled by an in-circuit diagonal correction,
-  and the windows merge as plain integers.  On the n-bit grid phases the
-  sweep scores every window read is exact, so each estimate is one walk
-  over the windows and each grid phase is scored once.  Each window's
-  queried state is built once per grid phase.  Every run charges its 2**e
-  queries and measures the photon; the register value is drawn, by
-  `qsim.measure`'s rule, from a Born table built on the first run of its
-  photon branch at that phase.
-* F = 1: no usable quantum phase, only the fixed unit-rate observable.
-  A two-quadrature sampling estimator draws from the fringes
-  cos^2(2*pi*phi) and cos^2(2*pi*phi + pi/4), written in closed form, and
-  inverts the outcome frequencies; the sample count doubles from 16 to
-  2**18 until the target precision is reliably met.
-
-Both share one scoring loop, `_scored_point`, which prepares each grid
-phase once per effort, makes all of its trials on one spawned stream, and
-grades the effort by its worst per-phase hit rate over the n-bit phase
-grid against the module constant SUCCESS_THRESHOLD = 0.9.
+  protocol's circuit on m qubits with 2**e queries (e its bit offset), made
+  as one query at phase 2**e * phi mod 1.  The first window reads the
+  lowest m bits, each later one the next bits up, with the known low bits
+  cancelled by a diagonal correction.  On the n-bit grid every read is
+  exact, so an estimate is one walk over the windows.  A window's queried
+  state, and the Born table of each photon branch, are built once per grid
+  phase; every run charges its 2**e queries and draws from that table, and
+  `trials` walks per grid phase give its hit rate.
+* F = 1: only the fixed unit-rate observable.  `classical_estimate`
+  inverts S binomial shots from each of the fringes cos^2(2*pi*phi) and
+  cos^2(2*pi*phi + pi/4), so its chance of a hit is a finite sum over the
+  two counts.  The row takes that sum exactly, on the phases below 1/2 it
+  resolves, and draws nothing: Q = 2*S for the first S in SAMPLE_COUNTS
+  whose worst chance meets the threshold.
 
 Query accounting is uniform: every oracle invocation costs 1 regardless of
 how many rate branches it carries, and a query made in superposition is
@@ -40,8 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,8 +43,7 @@ from .protocol import _fold_conjugate, _queried_state, within_precision
 from .qsim import StateVector, basis_state, diagonal_phase, hadamard, inverse_qft, measure
 from .qsim import _born_table, _count, _draw
 
-# the worst per-phase hit rate a point must reach, and the sample counts the
-# F = 1 row tries in turn to reach it
+# the worst per-phase success a point must reach; the F = 1 row's sample counts
 SUCCESS_THRESHOLD = 0.9
 SAMPLE_COUNTS = [16 << j for j in range(15)]  # 16, 32, ..., 2**18
 
@@ -95,43 +87,74 @@ def single_rate_state(clock: ClockModel) -> StateVector:
     return hadamard(state, 0)
 
 
+def _fringes(phi: float) -> tuple[float, float]:
+    """P(photon 0) of the fringes cos^2(2*pi*phi) and cos^2(2*pi*phi + pi/4)."""
+    angle = 2.0 * math.pi * phi
+    return math.cos(angle) ** 2, math.cos(angle + math.pi / 4.0) ** 2
+
+
+def _fringe_phases(hits_direct: int, samples: int) -> tuple[float, float]:
+    """The estimates of phi mod 1/2 from hits_direct of `samples` direct shots:
+    arccos(2*hits_direct/samples - 1) / (4*pi) where at most samples/2
+    quadrature shots hit (a non-negative sine), else 1/2 minus that."""
+    # libm's acos: numpy's SIMD arccos differs in the last bits
+    folded = math.acos(2.0 * hits_direct / samples - 1.0) / (4.0 * math.pi)
+    return folded % 0.5, (0.5 - folded) % 0.5
+
+
 def classical_estimate(
-    clock: ClockModel, samples: int, rng: np.random.Generator, size: int | None = None
-) -> tuple[float | np.ndarray, ResourceLedger]:
+    clock: ClockModel, samples: int, rng: np.random.Generator
+) -> tuple[float, ResourceLedger]:
     """Estimate the offset from repeated unit-rate measurements.
 
-    Draws `samples` shots from the direct fringe, p0 = cos^2(2*pi*phi), and
-    `samples` from its quadrature, p0 = cos^2(2*pi*phi + pi/4), phi =
-    clock.phi_star: `single_rate_state` and that circuit with an eighth-turn
-    z_phase before the last Hadamard, in closed form.  It inverts (cos, sin)
-    of 4*pi*phi via arccos, the sign of the sine picking the half-interval.
-    The observable only determines omega0*T mod 1/2, so estimates live in
-    [0, 1/2); callers with phases in the upper half see the folded value.
-
-    Returns (T_hat, ledger), T_hat a float, or with size=k an array of k
-    estimates from one (k, 2) binomial draw, the values of k scalar calls on
-    the same stream; the ledger records 2*samples unit-rate queries per
-    estimate.  samples and size must be positive integers; a bool or float
-    raises ValueError.
+    Draws `samples` shots from each of `_fringes(clock.phi_star)`, direct
+    then quadrature: `single_rate_state` and that circuit with an eighth-turn
+    z_phase before the last Hadamard, in closed form; `_fringe_phases`
+    inverts the hit counts.  The observable only determines omega0*T mod
+    1/2, so estimates live in [0, 1/2); callers with phases in the upper
+    half see the folded value.
+    Returns (T_hat, ledger), the ledger holding 2*samples unit-rate queries.
+    samples must be a positive integer; a bool or float raises ValueError.
     """
     samples = _count("samples", samples, 1)
-    k = 1 if size is None else _count("size", size, 1)
+    # each shot is one independent query; a binomial draw aggregates them
+    hits_direct, hits_quad = rng.binomial(samples, _fringes(clock.phi_star)).tolist()
     ledger = ResourceLedger()
+    ledger.record_query(1, count=2 * samples)
+    lower, upper = _fringe_phases(hits_direct, samples)
+    return (lower if 2 * hits_quad <= samples else upper) / clock.omega0, ledger
 
-    angle = 2.0 * math.pi * clock.phi_star
-    p_direct = math.cos(angle) ** 2
-    p_quad = math.cos(angle + math.pi / 4.0) ** 2
-    # each shot is one independent query; a binomial draw aggregates them,
-    # row by row direct then quadrature, as k scalar pairs would draw
-    hits = rng.binomial(samples, (p_direct, p_quad), size=(k, 2))
-    ledger.record_query(1, count=2 * k * samples)
 
-    cos_hat = 2.0 * hits[:, 0] / samples - 1.0
-    sin_hat = 1.0 - 2.0 * hits[:, 1] / samples
-    # libm's acos per value: numpy's SIMD arccos differs in the last bits
-    folded = np.array([math.acos(c) for c in cos_hat.tolist()]) / (4.0 * math.pi)
-    t_hat = np.where(sin_hat >= 0.0, folded, 0.5 - folded) % 0.5 / clock.omega0
-    return (float(t_hat[0]) if size is None else t_hat), ledger
+def _binomial_pmf(log_fact: np.ndarray, samples: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, pmf) of Bin(samples, p), log_fact[k] = log(k!), on the counts
+    within 12 standard deviations plus 48 of the mean: Bernstein's inequality
+    leaves at most 2*e**-72 of the mass outside."""
+    if p in (0.0, 1.0):  # a certain outcome
+        return np.array([int(p) * samples]), np.ones(1)
+    mean, spread = samples * p, 12.0 * math.sqrt(samples * p * (1.0 - p)) + 48.0
+    h = np.arange(max(0, math.ceil(mean - spread)), min(samples, math.floor(mean + spread)) + 1)
+    log_pmf = log_fact[samples] - log_fact[h] - log_fact[samples - h]
+    return h, np.exp(log_pmf + h * math.log(p) + (samples - h) * math.log1p(-p))
+
+
+def _classical_success(n_bits: int, samples: int) -> np.ndarray:
+    """Exact chance that `classical_estimate` (`samples` shots per fringe,
+    omega0 = 1) is `within_precision` n_bits at each grid phase below 1/2:
+    the sum over direct counts h of pmf(h) * (q * hit(lower) + (1 - q) *
+    hit(upper)), (lower, upper) = `_fringe_phases(h, samples)` and q the
+    chance of at most samples/2 quadrature hits, which picks lower."""
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(samples + 1)])
+    lower, upper = np.array([_fringe_phases(h, samples) for h in range(samples + 1)]).T
+    phis = np.arange(1 << (n_bits - 1)) / float(1 << n_bits)
+    out = np.empty(phis.size)
+    for i, phi in enumerate(phis.tolist()):
+        p_direct, p_quad = _fringes(phi)
+        h, pmf = _binomial_pmf(log_fact, samples, p_direct)
+        h_quad, pmf_quad = _binomial_pmf(log_fact, samples, p_quad)
+        q = pmf_quad[2 * h_quad <= samples].sum()
+        hit = q * within_precision(lower[h], phi, n_bits) + (1.0 - q) * within_precision(upper[h], phi, n_bits)
+        out[i] = (pmf * hit).sum()
+    return out
 
 
 def simulate_rate_k_with_unit_rate(
@@ -239,45 +262,16 @@ def _windowed_estimate(
     return phases, ledger
 
 
-def _scored_point(
-    F: int, n_bits: int, grid_size: int, efforts: Sequence,
-    prepare: Callable[..., Callable[..., tuple[np.ndarray, ResourceLedger]]],
-    trials: int, rng: np.random.Generator,
-) -> TradeoffPoint:
-    """Escalate effort until the worst per-phase hit rate meets SUCCESS_THRESHOLD.
-
-    At each effort, for each of the first grid_size n_bits-bit phases phi,
-    `prepare(phi, effort)` runs once, and the `estimate(stream, trials)` it
-    returns makes all `trials` estimates on one spawned stream.  Every
-    estimate at one effort costs the same, so Q is the batch ledger's query
-    count over trials.  Only one phase is prepared at a time.
-    """
-    worst, queries = 0.0, 0
-    for effort in efforts:
-        worst = 1.0
-        for g in range(grid_size):
-            phi = g / float(1 << n_bits)
-            phases, ledger = prepare(phi, effort)(rng.spawn(1)[0], trials)
-            queries = ledger.queries_Q // trials
-            worst = min(worst, float(np.mean(within_precision(phases, phi, n_bits))))
-        if worst >= SUCCESS_THRESHOLD:
-            break
-    return TradeoffPoint(F=F, Q=queries, n_bits_achieved=n_bits, success_rate=worst)
-
-
 def tradeoff_sweep(
     n_target: int, F_values: Sequence[int], trials: int, rng: np.random.Generator
 ) -> list[TradeoffPoint]:
     """Measure the queries needed for n_target bits at each range F.
 
-    For every F (a power of two up to 2**n_target) the sweep scores the
-    worst-case per-phase success rate over the n_target-bit phase grid
-    against SUCCESS_THRESHOLD and records the per-estimate query count Q read
-    off an actual run ledger.  F = 1 escalates through SAMPLE_COUNTS until
-    the threshold is met, or stops at the last count; F >= 2 makes one walk
-    over its windows per estimate and is scored once.  The reported
-    success_rate is honest either way.  `trials` estimates are scored per
-    grid phase, all drawn from one stream.
+    Every F (a power of two up to 2**n_target) is scored by its worst
+    per-phase success on the n_target-bit phase grid against
+    SUCCESS_THRESHOLD, reported honestly even where it misses.  F >= 2 makes
+    `trials` window walks per grid phase on one stream spawned from rng and
+    reads Q off their ledger; F = 1 is exact and uses neither trials nor rng.
     """
     n_target, trials = _count("n_target", n_target, 1), _count("trials", trials, 1)
     points = []
@@ -287,14 +281,19 @@ def tradeoff_sweep(
             raise ValueError(f"F must be a power of two in [1, 2**n_target], got {F}")
         m = F.bit_length() - 1
         if m == 0:
-            # the estimator reads phases mod 1/2, so only that half of the grid is scored
-            grid, efforts = 1 << (n_target - 1), SAMPLE_COUNTS
-            prepare = lambda phi, samples: partial(classical_estimate, ClockModel(phi, 1.0), samples)
+            for samples in SAMPLE_COUNTS:
+                worst = float(_classical_success(n_target, samples).min())
+                if worst >= SUCCESS_THRESHOLD:
+                    break
+            Q = 2 * samples
         else:
-            # every window read on the grid is exact: one effort, no escalation
-            exponents = _window_exponents(n_target, m)
-            grid, efforts = 1 << n_target, [None]
-            prepare = lambda phi, _: partial(_windowed_estimate, [_Window(phi, m, e) for e in exponents],
-                                             n_target, m, exponents)
-        points.append(_scored_point(F, n_target, grid, efforts, prepare, trials, rng))
+            # every window read on the grid is exact: each grid phase is scored once
+            exponents, worst = _window_exponents(n_target, m), 1.0
+            for g in range(1 << n_target):
+                phi = g / float(1 << n_target)
+                windows = [_Window(phi, m, e) for e in exponents]
+                phases, ledger = _windowed_estimate(windows, n_target, m, exponents, rng.spawn(1)[0], trials)
+                worst = min(worst, float(np.mean(within_precision(phases, phi, n_target))))
+            Q = ledger.queries_Q // trials
+        points.append(TradeoffPoint(F=F, Q=Q, n_bits_achieved=n_target, success_rate=worst))
     return points

@@ -210,31 +210,36 @@ def plain_windowed_estimate(phi: float, n_bits: int, m: int, rng, branches: set)
     return sum(bit << b for b, bit in bits.items()) / 2**n_bits, queries
 
 
-def plain_classical_estimate(phi: float, samples: int, rng) -> float:
-    """One two-fringe estimate of phi mod 1/2: binomial shots of the direct
-    fringe cos^2(2 pi phi), then of the quadrature cos^2(2 pi phi + pi/4),
-    inverted by arccos, the quadrature's majority picking the half."""
-    angle = 2.0 * math.pi * phi
-    hits_direct = int(rng.binomial(samples, math.cos(angle) ** 2))
-    hits_quad = int(rng.binomial(samples, math.cos(angle + math.pi / 4.0) ** 2))
+def plain_inversion(hits_direct: int, hits_quad: int, samples: int) -> float:
+    """The two-fringe estimate of phi mod 1/2 from hit counts of `samples`
+    shots each: arccos inversion of the direct fringe, the quadrature's
+    majority picking the half."""
     folded = math.acos(2.0 * hits_direct / samples - 1.0) / (4.0 * math.pi)
     return (folded if 2 * hits_quad <= samples else 0.5 - folded) % 0.5
 
 
-def classical_tradeoff_row(n_bits: int, trials: int, rng, sample_counts, threshold) -> tuple[int, float]:
-    """(Q, worst hit rate) of the F = 1 tradeoff row, by plain loops.  At each
-    sample count in turn, each phase g / 2**n_bits, g < 2**(n_bits - 1), gets
-    one rng.spawn(1) stream and `trials` scalar estimates from it; a hit lies
-    at circular distance below 2**-n_bits.  Stops at the first count whose
-    worst rate meets threshold; Q is 2 * samples queries."""
-    for samples in sample_counts:
-        worst = 1.0
-        for g in range(1 << (n_bits - 1)):
-            phi = g / 2**n_bits
-            stream = rng.spawn(1)[0]
-            estimates = [plain_classical_estimate(phi, samples, stream) for _ in range(trials)]
-            hits = sum(circular_distance(t, phi) < 2.0**-n_bits for t in estimates)
-            worst = min(worst, hits / trials)
-        if worst >= threshold:
-            break
-    return 2 * samples, worst
+def plain_classical_estimate(phi: float, samples: int, rng) -> float:
+    """One two-fringe estimate of phi mod 1/2: binomial shots of the direct
+    fringe cos^2(2 pi phi), then of the quadrature cos^2(2 pi phi + pi/4),
+    put through `plain_inversion`."""
+    angle = 2.0 * math.pi * phi
+    hits_direct = int(rng.binomial(samples, math.cos(angle) ** 2))
+    hits_quad = int(rng.binomial(samples, math.cos(angle + math.pi / 4.0) ** 2))
+    return plain_inversion(hits_direct, hits_quad, samples)
+
+
+def plain_classical_success(phi: float, n_bits: int, samples: int) -> float:
+    """Chance that one `plain_classical_estimate` lies at circular distance
+    below 2**-n_bits from phi: a sum over every pair of hit counts, each
+    weighted by its two binomial probabilities from math.comb."""
+    angle = 2.0 * math.pi * phi
+    p_direct, p_quad = math.cos(angle) ** 2, math.cos(angle + math.pi / 4.0) ** 2
+    total = 0.0
+    for h_direct in range(samples + 1):
+        for h_quad in range(samples + 1):
+            if circular_distance(plain_inversion(h_direct, h_quad, samples), phi) < 2.0**-n_bits:
+                total += (
+                    math.comb(samples, h_direct) * p_direct**h_direct * (1.0 - p_direct) ** (samples - h_direct)
+                    * math.comb(samples, h_quad) * p_quad**h_quad * (1.0 - p_quad) ** (samples - h_quad)
+                )
+    return total

@@ -251,6 +251,20 @@ def test_tradeoff_scenario(tmp_path):
         assert int(row[4]) == int(row[0]) * int(row[1])
 
 
+def test_tradeoff_table_depends_on_neither_seed_nor_trials(tmp_path, capsys):
+    # the F = 1 row is exact and every F >= 2 read on the grid is exact, so
+    # seed and trials are only echoed
+    outputs = set()
+    for seed in range(1, 7):
+        for trials in (5, 20):
+            path = tmp_path / f"t{seed}_{trials}.csv"
+            spec = ExperimentSpec(scenario="tradeoff", n_bits=4, trials=trials, seed=seed, output_path=str(path))
+            assert run(spec) == 0
+            _, header, rows = _read(path)
+            outputs.add((tuple(header), tuple(map(tuple, rows)), capsys.readouterr().out))
+    assert len(outputs) == 1
+
+
 def test_tradeoff_summary_leaves_unmet_rows_out(tmp_path, capsys, monkeypatch):
     # 16 fringe samples cannot read 6 bits: the F = 1 row stays in the CSV
     # with its honest rate, but its F*Q = 32 bounds neither min_FQ nor implied_c

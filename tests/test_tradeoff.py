@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,10 +22,14 @@ from ticksync import (
 )
 from ticksync import tradeoff
 from ticksync.harness import MAX_TRADEOFF_BITS
-from ticksync.tradeoff import _Window, _window_exponents, _windowed_estimate
+from ticksync.tradeoff import (
+    _binomial_pmf, _classical_success, _Window, _window_exponents, _windowed_estimate,
+)
 from ticksync.seeding import child_rng
 
-from reference import classical_tradeoff_row, plain_windowed_estimate
+from reference import (
+    four_sigma, plain_classical_estimate, plain_classical_success, plain_windowed_estimate,
+)
 
 
 def test_single_rate_state_probabilities():
@@ -90,9 +95,9 @@ class _RecordedDraws:
     def __init__(self, rng):
         self.rng, self.p = rng, []
 
-    def binomial(self, n, p, size=None):
+    def binomial(self, n, p):
         self.p.extend(np.ravel(p))
-        return self.rng.binomial(n, p, size)
+        return self.rng.binomial(n, p)
 
 
 def test_classical_estimate_matches_the_circuit_fringes():
@@ -106,41 +111,66 @@ def test_classical_estimate_matches_the_circuit_fringes():
             )
             assert rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
             assert np.max(np.abs(np.subtract(rng.p, ref_rng.p))) <= 1e-15
-def test_classical_estimate_size_matches_scalar_calls_on_one_stream():
-    # one (k, 2) draw gives the values, draw for draw, of k scalar calls that
-    # each draw direct then quadrature, and charges the queries of all k
-    for samples in (16, 1000, 32768, 1 << 18):
-        for i, phi in enumerate((0.0, 0.1, 0.3, 0.45, 0.7, 0.9)):
-            clock = ClockModel(phi / 2.0, 2.0)
-            rng, ref_rng = child_rng(33, samples, i), child_rng(33, samples, i)
-            t_hats, ledger = classical_estimate(clock, samples, rng, size=7)
-            ref = [classical_estimate(clock, samples, ref_rng) for _ in range(7)]
-            assert t_hats.tolist() == [t for t, _ in ref]
-            assert ledger.queries_Q == sum(r.queries_Q for _, r in ref) == 14 * samples
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-    for size in (0, True, 2.5):
-        with pytest.raises(ValueError, match="size"):
-            classical_estimate(ClockModel(0.1, 1.0), 16, child_rng(0), size=size)
 
 
-def test_classical_row_matches_a_plain_loop_of_scalar_estimates():
-    # one spawned stream per (sample count, grid phase), every trial drawn from it
-    for n_bits in (1, 2, 4, 6):
-        for seed in (1, 2, 3):
-            (point,) = tradeoff_sweep(n_bits, [1], 20, child_rng(seed, 5))
-            ref = classical_tradeoff_row(
-                n_bits, 20, child_rng(seed, 5), tradeoff.SAMPLE_COUNTS, tradeoff.SUCCESS_THRESHOLD
+def test_binomial_pmf_matches_exact_fractions():
+    # the lgamma pmf against exact rationals of the same float p, on its
+    # window, and the exact mass it leaves outside the window
+    for samples in (16, 64, 256):
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(samples + 1)])
+        for p in (0.0, 1e-6, 3.76e-5, 0.0096, 0.3, 0.5, 0.5000000000000001, 0.97, 1.0 - 1e-9, 1.0):
+            h, pmf = _binomial_pmf(log_fact, samples, p)
+            exact = [
+                math.comb(samples, k) * Fraction(p) ** k * (1 - Fraction(p)) ** (samples - k)
+                for k in range(samples + 1)
+            ]
+            assert np.max(np.abs(pmf - [float(exact[k]) for k in h.tolist()])) <= 1e-12
+            assert float(1 - sum(exact[k] for k in h.tolist())) <= 1e-12
+
+
+def test_classical_success_matches_a_plain_double_sum():
+    # every scored phase, g = 0 (a certain direct count) included, against a
+    # sum over every pair of hit counts with math.comb weights
+    for n_bits in range(1, 7):
+        phis = [g / 2**n_bits for g in range(1 << (n_bits - 1))]
+        for samples in (16, 32, 64):
+            exact = _classical_success(n_bits, samples)
+            ref = [plain_classical_success(phi, n_bits, samples) for phi in phis]
+            assert np.max(np.abs(exact - ref)) <= 1e-12
+
+
+def test_plain_classical_success_matches_sampled_hit_rates():
+    # the double sum against 4,000 plain estimates per phase
+    trials = 4000
+    for n_bits, samples, gs in ((4, 16, (1, 3, 6)), (6, 256, (1, 13, 31))):
+        for g in gs:
+            phi = g / 2**n_bits
+            rng = child_rng(34, n_bits, g)
+            hits = sum(
+                circular_distance(plain_classical_estimate(phi, samples, rng), phi) < 2.0**-n_bits
+                for _ in range(trials)
             )
-            assert (point.Q, point.success_rate) == ref
+            p = plain_classical_success(phi, n_bits, samples)
+            assert abs(hits / trials - p) <= four_sigma(p, trials)
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_classical_row_meets_the_threshold_at_the_tradeoff_edge(seed):
-    # fringe sampling needs about four times the samples per bit: the F = 1
-    # row at the widest admitted n runs up to 2**16 or 2**17 samples
-    (point,) = tradeoff_sweep(MAX_TRADEOFF_BITS, [1], 20, child_rng(seed, 5))
-    assert point.success_rate >= tradeoff.SUCCESS_THRESHOLD
-    assert point.Q <= 2 * tradeoff.SAMPLE_COUNTS[-1]
+def test_classical_row_is_exact_and_needs_no_stream():
+    # fringe sampling needs about four times the samples per bit; the row is
+    # the same for any trials and rng, and rng neither draws nor spawns
+    expected_Q = [32, 32, 32, 32, 128, 512, 2048, 8192, 32768, 131072]
+    assert MAX_TRADEOFF_BITS == len(expected_Q)
+    for n_bits, Q in enumerate(expected_Q, start=1):
+        rng = child_rng(n_bits, 5)
+        state = rng.bit_generator.state
+        (point,) = tradeoff_sweep(n_bits, [1], 20, rng)
+        assert rng.bit_generator.state == state
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+        assert (point.F, point.Q, point.n_bits_achieved) == (1, Q, n_bits)
+        assert point.success_rate >= tradeoff.SUCCESS_THRESHOLD
+        if n_bits <= 4:
+            assert tradeoff_sweep(n_bits, [1], 3, child_rng(99)) == [point]
+        want = {4: 0.91890, 6: 0.91440, 10: 0.91417}.get(n_bits)
+        assert want is None or abs(point.success_rate - want) <= 1e-5
 
 
 def test_classical_estimate_converges_both_halves():
