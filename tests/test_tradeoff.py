@@ -173,6 +173,15 @@ def test_classical_row_is_exact_and_needs_no_stream():
         assert want is None or abs(point.success_rate - want) <= 1e-5
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_classical_row_meets_the_threshold_at_the_tradeoff_edge(seed):
+    # fringe sampling needs about four times the samples per bit: the F = 1
+    # row at the widest admitted n runs up to 2**16 or 2**17 samples
+    (point,) = tradeoff_sweep(MAX_TRADEOFF_BITS, [1], 20, child_rng(seed, 5))
+    assert point.success_rate >= tradeoff.SUCCESS_THRESHOLD
+    assert point.Q <= 2 * tradeoff.SAMPLE_COUNTS[-1]
+
+
 def test_classical_estimate_converges_both_halves():
     # one phase per arccos branch; 10^4 samples pins each to ~1e-2
     for phi in (1 / 16, 0.3):
