@@ -53,8 +53,9 @@ from .tradeoff import (
 _GRID_BITS = 4
 
 # Most values a sweep-phi or boost grid scan may compute: per phase, sweep-phi
-# builds one 2**(n + 1)-amplitude state for p_photon0 and boost sums
-# 2**(n' - n + 1) kernel weights.  sweep-phi admits n <= 9, boost n' <= 19.
+# builds one 2**(n + 1)-amplitude state for p_photon0 (n <= 9), and boost is
+# charged 2**(n' - n + 1).  boost's edge, n' <= 19, now bounds its Monte Carlo
+# width and 2**(n + 4) rows, not its scan, which scores one n-bit cell.
 MAX_GRID_SCAN_AMPLITUDES = 1 << 24
 
 # Widest tradeoff sweep: its time grows two- to threefold per bit (20 trials,
@@ -173,21 +174,29 @@ def _scenario_sync(spec: ExperimentSpec):
     return columns, rows, extras, summary
 
 
+def _grid_scan(n_prime: int, n_bits: int, shift: float = 0.0):
+    """Phases g / 2**(n_bits + _GRID_BITS) + shift mod 1 and their exact success.
+    Success repeats bit for bit every 2**-n_bits, where N * phi moves by an
+    integer, so the first n-bit cell's 16 phases are scored and tiled."""
+    grid_points = 1 << (n_bits + _GRID_BITS)
+    phis = _frac(np.arange(grid_points) / grid_points + shift)
+    cell = success_probability_exact(n_prime, phis[: 1 << _GRID_BITS], n_bits)
+    return phis, np.tile(cell, 1 << n_bits)
+
+
 def _scenario_sweep_phi(spec: ExperimentSpec):
     n = spec.n_bits
-    grid_points = 1 << (n + _GRID_BITS)
-    phis = np.arange(grid_points) / grid_points
-    probs = success_probability_exact(n, phis, n)
+    phis, probs = _grid_scan(n, n)
     worst_phi, worst_p = phis[np.argmin(probs)], probs.min()
     rows = [
         (g, phi, p, photon_zero_probability(n, phi))
         for g, (phi, p) in enumerate(zip(phis.tolist(), probs.tolist()))
     ]
     columns = ("grid_index", "phi", "success_prob", "p_photon0")
-    extras = (("grid_points", grid_points),)
+    extras = (("grid_points", phis.size),)
     floor = 4.0 / math.pi**2
     summary = (
-        f"sweep-phi: n={n} grid={grid_points} min_success={worst_p:.6f} "
+        f"sweep-phi: n={n} grid={phis.size} min_success={worst_p:.6f} "
         f"at phi={worst_phi:.6f} floor_4_over_pi_sq={floor:.6f}"
     )
     return columns, rows, extras, summary
@@ -197,13 +206,10 @@ def _scenario_boost(spec: ExperimentSpec):
     n = spec.n_bits
     config = ProtocolConfig(n, spec.delta)
     n_prime = config.effective_register
-    grid_points = 1 << (n + _GRID_BITS)
     # the estimate is exact on the n'-bit register grid: scan half a bin off it
-    half_bin = 2.0 ** -(n_prime + 1)
-    phis = _frac(np.arange(grid_points) / grid_points + half_bin)
-    probs = success_probability_exact(n_prime, phis, n)
+    phis, probs = _grid_scan(n_prime, n, 2.0 ** -(n_prime + 1))
     worst_phi, worst_p = float(phis[np.argmin(probs)]), probs.min()
-    rows = list(zip(range(grid_points), phis.tolist(), probs.tolist()))
+    rows = list(zip(range(phis.size), phis.tolist(), probs.tolist()))
     columns = ("grid_index", "phi", "success_prob")
 
     clock = ClockModel(offset_T=worst_phi / spec.omega0, omega0=spec.omega0)
@@ -213,7 +219,7 @@ def _scenario_boost(spec: ExperimentSpec):
         estimate = run_sync(config, clock, stream)
         failures += not within_precision(estimate.phase_hat, clock.phi_star, n)
     failure_rate = failures / spec.trials
-    extras = (("n_prime", n_prime), ("grid_points", grid_points))
+    extras = (("n_prime", n_prime), ("grid_points", phis.size))
     summary = (
         f"boost: n={n} delta={spec.delta} n_prime={n_prime} "
         f"worst_exact_success={worst_p:.6f} mc_failure_rate={failure_rate:.6f} "

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clock import ClockModel, ResourceLedger, _frac, tqh_oracle
-from .qsim import _INV_SQRT2, StateVector, _count, inverse_qft, measure
+from .qsim import _INV_SQRT2, StateVector, _born_table, _count, inverse_qft, measure
 
 # Widest register n' simulated: with the photon, 2**25 amplitudes (512 MiB) at 24.
 MAX_REGISTER_QUBITS = 24
@@ -138,15 +138,6 @@ def _queried_state(clock: ClockModel, n_prime: int, ledger: ResourceLedger | Non
     return tqh_oracle(clock, prepared, range(n_prime), n_prime, ledger)
 
 
-def _final_joint_state(n_prime: int, phi: float) -> StateVector:
-    """Pre-measurement joint state of register and photon for a true phase phi.
-
-    The inverse Fourier transform commutes with the photon measurement, so
-    this single state yields exact outcome statistics for the whole run.
-    """
-    return inverse_qft(_queried_state(ClockModel(phi, 1.0), n_prime), range(n_prime))
-
-
 def _register_weights(n_prime: int, theta, m):
     """Probability of reading register value m (photon branches folded) at
     phase theta, from the Fejer kernel of Cleve, Ekert, Macchiavello and
@@ -228,14 +219,15 @@ def success_probability_exact(n_prime: int, phi, n_bits: int):
 
 
 def photon_zero_probability(n_prime: int, phi: float) -> float:
-    """Exact probability of reading photon_bit = 0 in the state; 1/2 for every phi.
-    Refuses n_prime outside [1, MAX_REGISTER_QUBITS], or not an integer (a
-    bool or float included), before building the state."""
+    """Exact probability of reading photon_bit = 0, 1/2 for every phi: row 0 of
+    the Born table `run_sync` draws its photon from.  Refuses n_prime outside
+    [1, MAX_REGISTER_QUBITS], or not an integer (a bool or float included),
+    before building the state."""
     n_prime = _count("n_prime", n_prime, 1)
     if n_prime > MAX_REGISTER_QUBITS:
         raise ValueError(f"n_prime must lie in [1, {MAX_REGISTER_QUBITS}], got {n_prime!r}")
-    probs = _final_joint_state(n_prime, float(_validated_phase(phi))).probabilities()
-    return float(np.sum(probs[: 1 << n_prime]))
+    state = _queried_state(ClockModel(float(_validated_phase(phi)), 1.0), n_prime)
+    return float(_born_table(state.amps.reshape(2, -1))[0][0])
 
 
 def min_success_on_grid(n_prime: int, n_bits: int, grid_points: int) -> tuple[float, float]:

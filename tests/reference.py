@@ -147,6 +147,17 @@ def gather_fourier(amps, num_qubits, register, inverse) -> np.ndarray:
     return out
 
 
+def final_joint_state(n_prime: int, phi: float) -> np.ndarray:
+    """Amplitudes of register and photon (qubit n_prime) for one query at phase
+    phi, after the inverse QFT on the register and before any measurement:
+    the prepared state, `plain_oracle`, then `gather_fourier`.  The transform
+    commutes with the photon measurement, so these give a run's exact outcome
+    statistics."""
+    reg = range(n_prime)
+    amps = np.full(2 << n_prime, (1.0 / math.sqrt(2**n_prime)) * (1.0 / math.sqrt(2.0)), dtype=complex)
+    return gather_fourier(plain_oracle(amps, n_prime + 1, reg, n_prime, phi), n_prime + 1, reg, inverse=True)
+
+
 def gather_measure(amps, num_qubits, qubits, rng) -> tuple[int, np.ndarray]:
     """Measure qubits through a gathered block with qsim's sampling rule: one
     uniform scaled by the weight total against the cumsum.  Returns the value

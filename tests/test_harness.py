@@ -380,7 +380,8 @@ def test_grid_scan_cap_refuses_scans_that_cannot_finish(capsys):
     # sweep-phi at n = 20: 2**24 exact evaluations on 2**21-amplitude states
     with pytest.raises(ValueError, match="n=20"):
         ExperimentSpec(scenario="sweep-phi", n_bits=20)
-    # boost sums 2**(n' - n + 1) kernel weights per phase: its edge is n' = 19
+    # boost is charged 2**(n' - n + 1) per phase: its edge, n' = 19, bounds its
+    # Monte Carlo width and 2**(n + 4) rows, not its scan, which scores one cell
     ExperimentSpec(scenario="boost", n_bits=15, delta=0.05)
     for argv in (["--scenario", "sweep-phi", "--n", "10"],
                  ["--scenario", "boost", "--n", "16", "--delta", "0.05"]):

@@ -28,11 +28,12 @@ from ticksync import (
     within_precision,
 )
 from ticksync import harness, protocol
-from ticksync.protocol import _final_joint_state, _nearest_grid_index
+from ticksync.protocol import _nearest_grid_index, _queried_state
 from ticksync.seeding import child_rng
 from reference import (
     circular_distance as reference_distance,
     closed_form_success,
+    final_joint_state,
     four_sigma,
     fold_weight,
     gather_sync_draw,
@@ -179,8 +180,9 @@ def test_success_probability_matches_closed_form():
     kind=st.sampled_from(["grid", "above", "below", "mid-cell", "near-1"]),
 )
 def test_success_probability_matches_statevector_decode(n_prime, lower_bits, k, kind):
-    # the kernel sum against the run's own state, decoded outcome by outcome;
-    # the two add in different orders, so they agree to 1e-12, not bit for bit
+    # the kernel sum against the reference's post-transform state, decoded
+    # outcome by outcome; the two add in different orders, so they agree to
+    # 1e-12, not bit for bit
     size = 1 << n_prime
     n_bits = max(1, n_prime - lower_bits)
     k %= size
@@ -192,7 +194,7 @@ def test_success_probability_matches_statevector_decode(n_prime, lower_bits, k, 
         "near-1": 1.0 - (k + 1) * 2.0**-53,
     }[kind] % 1.0
     total = 0.0
-    for index, weight in enumerate(_final_joint_state(n_prime, phi).probabilities()):
+    for index, weight in enumerate(np.abs(final_joint_state(n_prime, phi)) ** 2):
         m = index if index < size else (2 * size - index) % size
         grid = nearest_fraction_index(m, n_prime, n_bits)
         if reference_distance(grid / (1 << n_bits), phi) < 2.0 ** -n_bits:
@@ -271,7 +273,7 @@ def test_worst_case_stays_above_constant_floor():
 
 
 def test_conjugate_branch_mirrors_register_distribution():
-    # the circuit gate by gate; _final_joint_state writes its prepared state directly
+    # the circuit gate by gate; _queried_state writes its prepared state directly
     for n_prime in (1, 4, 10, 14):
         for phi in (0.23, 0.0, 0.5 + 2**-9, 0.7071067811865476):
             reg = range(n_prime)
@@ -280,8 +282,9 @@ def test_conjugate_branch_mirrors_register_distribution():
             state = hadamard(state, n_prime)
             thetas = 2 * np.pi * ((np.arange(1 << n_prime) * phi) % 1.0)
             state = indexed_phase(state, reg, n_prime, thetas)
+            assert _queried_state(ClockModel(phi, 1.0), n_prime).amps.tobytes() == state.amps.tobytes()
             state = inverse_qft(state, reg)
-            assert _final_joint_state(n_prime, phi).amps.tobytes() == state.amps.tobytes()
+            assert np.max(np.abs(state.amps - final_joint_state(n_prime, phi))) <= 1e-12
             probs = state.probabilities()
             size = 1 << n_prime
             branch1 = probs[size:]
@@ -312,14 +315,25 @@ def test_photon_zero_probability_refuses_a_register_over_the_cap(monkeypatch):
         photon_zero_probability(protocol.MAX_REGISTER_QUBITS, 0.25)
 
 
+def test_photon_zero_probability_matches_the_post_transform_reference():
+    # read before the inverse transform, the photon weight is the reference's
+    # photon-0 sum after it, on test_08's dyadic grid and irrational phases
+    irrational = (1.0 / 3.0, 1.0 / 7.0, 2.0 / 7.0, math.pi - 3.0, math.e - 2.0)
+    for n_prime in range(1, 9):
+        grid = 1 << (n_prime + 2)
+        for phi in [g / grid for g in range(grid)] + list(irrational):
+            expected = float(np.sum(np.abs(final_joint_state(n_prime, phi)[: 1 << n_prime]) ** 2))
+            assert abs(photon_zero_probability(n_prime, phi) - expected) <= 1e-15, (n_prime, phi)
+
+
 def test_sweep_phi_builds_one_state_per_grid_phase(monkeypatch, tmp_path):
     built = []
-    real = protocol._final_joint_state
-    monkeypatch.setattr(protocol, "_final_joint_state", lambda *a: built.append(a) or real(*a))
+    real = protocol._queried_state
+    monkeypatch.setattr(protocol, "_queried_state", lambda *a: built.append(a) or real(*a))
     success_probability_exact(5, np.arange(64) / 64, 4)
     assert built == []
     run(ExperimentSpec(scenario="sweep-phi", n_bits=2, output_path=str(tmp_path / "s.csv")))
-    assert built == [(2, g / 64) for g in range(64)]
+    assert [(clock.phi_star, n_prime) for clock, n_prime in built] == [(g / 64, 2) for g in range(64)]
 
 
 def test_each_grid_scan_makes_one_exact_call(monkeypatch, tmp_path):
@@ -339,7 +353,24 @@ def test_each_grid_scan_makes_one_exact_call(monkeypatch, tmp_path):
         spec = ExperimentSpec(scenario=scenario, n_bits=3, delta=delta, trials=2,
                               output_path=str(tmp_path / f"{scenario}.csv"))
         run(spec)
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(calls[0][1]) == 16  # one n-bit cell of 2**(n + 4) phases
+
+
+def test_grid_scans_tile_one_cell_bit_for_bit():
+    # success repeats every 2**-n: the tiled cell is the scan scored whole,
+    # at every sweep-phi n and at boost widths up to n' = 19; at delta >= 0.2
+    # n' <= n + 3 and the half-bin shift wraps the last phases past 1
+    specs = [(n, n, 0.0) for n in range(1, 10)]
+    for n, delta in ((1, 0.3), (4, 0.2), (6, 0.3), (10, 0.05), (12, 0.3), (15, 0.05), (17, 0.3)):
+        n_prime = ProtocolConfig(n, delta).effective_register
+        specs.append((n_prime, n, 2.0 ** -(n_prime + 1)))
+    for n_prime, n, shift in specs:
+        grid_points = 1 << (n + 4)
+        phis, probs = harness._grid_scan(n_prime, n, shift)
+        assert phis.tobytes() == ((np.arange(grid_points) / grid_points + shift) % 1.0).tobytes()
+        assert (phis[-1] < phis[0]) == (0 < n_prime - n < 4)  # the wrap
+        whole = success_probability_exact(n_prime, phis, n)
+        assert probs.tobytes() == whole.tobytes(), (n_prime, n)
 
 
 def test_run_sync_offgrid_matches_exact_distribution():
