@@ -4,8 +4,9 @@ Each setting is declared once, as an ExperimentSpec field carrying its key,
 text parser and help line; the CLI flags, config-file keys, integer checks
 and CSV metadata echo are generated from those fields.  SCENARIOS maps each
 scenario name to its function and the optional settings it accepts.  Every
-integer setting passes `qsim._count`.  Beyond the grid-scan cap and the
-tradeoff sweep's edge, ExperimentSpec admits by protocol's rules, not its own.
+integer setting passes `qsim._count`.  Beyond a normal omega0, the grid-scan
+cap and the tradeoff sweep's edge, ExperimentSpec admits by protocol's rules
+(`loses_phase_bits` for reduction's handshake too), not its own.
 
 Every scenario derives all randomness from the spec's seed and writes one
 UTF-8 CSV file: ``# key = value`` lines echoing the version, the settings in
@@ -101,10 +102,15 @@ class ExperimentSpec:
                 )
         if self.n_bits > 20:
             raise ValueError(f"n must lie in [1, 20], got {self.n_bits}")
-        if not (math.isfinite(self.omega0) and self.omega0 > 0):
-            raise ValueError(f"omega0 must be positive, got {self.omega0!r}")
+        # a subnormal omega0 overflows phase / omega0, the offset of a phase near 1
+        if not (math.isfinite(self.omega0) and self.omega0 >= sys.float_info.min):
+            raise ValueError(f"omega0 must be finite and at least {sys.float_info.min!r}, got {self.omega0!r}")
         if self.t_true is not None and not math.isfinite(self.t_true):
             raise ValueError("t-true must be finite")
+        # reduction's 7-qubit handshake turns omega0 * t, |t| <= 12 s: T in [-2, 2] plus 10 s of transit
+        if self.scenario == "reduction" and loses_phase_bits(self.omega0 * 12.0, 7):
+            raise ValueError(f"omega0={self.omega0!r} leaves reduction's handshake phases "
+                             "too few fractional bits")
         if self.scenario == "boost" and self.delta is None:
             raise ValueError("scenario boost requires delta")
         n_prime = ProtocolConfig(self.n_bits, self.delta).effective_register

@@ -7,8 +7,8 @@ the single coherent query, measure the photon, then invert the Fourier
 transform and read the register.  A photon outcome of 1 lands on the
 conjugate phase branch, which post-processing folds back by negating the
 register value mod 2**n'.  This module is the one place that circuit
-(`_queried_state`) and that fold (`_fold_conjugate`) are written, and
-`tradeoff` reuses them; the exact analysis sums the run's Fejer kernel.
+(`_queried_state`) and that read-out (`_Readout`) are written, and
+`tradeoff`'s windows reuse both; the exact analysis sums the run's Fejer kernel.
 
 Success for a target precision of n bits means circular distance strictly
 below 2**-n between the estimate and omega0*T mod 1.  On n-bit grid phases
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clock import ClockModel, ResourceLedger, _frac, tqh_oracle
-from .qsim import _INV_SQRT2, StateVector, _born_table, _count, inverse_qft, measure
+from .qsim import _INV_SQRT2, StateVector, _born_table, _count, _draw, inverse_qft, measure
 
 # Widest register n' simulated: with the photon, 2**25 amplitudes (512 MiB) at 24.
 MAX_REGISTER_QUBITS = 24
@@ -102,12 +102,6 @@ class SyncEstimate:
     T_hat: float
 
 
-def _fold_conjugate(m: int, n_prime: int) -> int:
-    """Map conjugate-branch register values (int or array) back to the primary branch."""
-    size = 1 << n_prime
-    return (size - m) % size
-
-
 def _nearest_grid_index(m: int, n_prime: int, n_bits: int) -> int:
     """Nearest n_bits-bit fraction to m/2**n_prime, ties toward the smaller.
 
@@ -136,6 +130,27 @@ def _queried_state(clock: ClockModel, n_prime: int, ledger: ResourceLedger | Non
     amp = (1.0 / math.sqrt(2**n_prime)) * _INV_SQRT2
     prepared = StateVector(n_prime + 1, np.full(2 << n_prime, amp, dtype=np.complex128), copy=False)
     return tqh_oracle(clock, prepared, range(n_prime), n_prime, ledger)
+
+
+class _Readout:
+    """A queried state's read-out: measure photon qubit n_prime, inverse-QFT
+    and read register qubits 0..n_prime-1, fold the photon-1 branch.  Each
+    branch's register Born table is built on its first draw and kept."""
+
+    def __init__(self, state: StateVector, n_prime: int) -> None:
+        self.state, self.n_prime = state, n_prime
+        self.tables: dict[int, tuple[np.ndarray, float]] = {}  # photon bit -> (cumsum, total)
+
+    def draw(self, rng: np.random.Generator) -> tuple[int, int]:
+        """(photon bit, folded register value) of one read, on two uniforms of rng."""
+        photon = measure(self.state, [self.n_prime], rng)
+        if photon.value not in self.tables:
+            # every register qubit is read, so the (register, rest) block is one column
+            register = inverse_qft(photon.collapsed, range(self.n_prime))
+            self.tables[photon.value] = _born_table(register.amps[:, None])[1:]
+        value = _draw(*self.tables[photon.value], rng)
+        # a photon-1 read lands on the conjugate phase: negate it mod 2**n'
+        return photon.value, -value % (1 << self.n_prime) if photon.value else value
 
 
 def _register_weights(n_prime: int, theta, m):
@@ -170,15 +185,11 @@ def run_sync(
     n_prime = config.effective_register
     if loses_phase_bits(clock.omega0 * clock.offset_T, n_prime):
         raise ValueError(f"offset_T={clock.offset_T!r} leaves omega0 * offset_T too few phase bits")
-    reg = range(n_prime)
-    photon_out = measure(_queried_state(clock, n_prime, ledger), [n_prime], rng)
-    m = measure(inverse_qft(photon_out.collapsed, reg), reg, rng).value
-    if photon_out.value == 1:
-        m = _fold_conjugate(m, n_prime)
+    photon_bit, m = _Readout(_queried_state(clock, n_prime, ledger), n_prime).draw(rng)
     phase_hat = _nearest_grid_index(m, n_prime, config.n_bits) / float(1 << config.n_bits)
     return SyncEstimate(
         raw_m=m,
-        photon_bit=photon_out.value,
+        photon_bit=photon_bit,
         phase_hat=phase_hat,
         T_hat=phase_hat / clock.omega0,
     )

@@ -22,13 +22,13 @@ qubits in ascending order, else the amplitudes with one axis per qubit,
 transposed to (register, rest) order and copied, which one inverse
 transpose undoes.  A phase key over every qubit in order is used as it is;
 any other key's table is spread over its block the same way.  Each path
-gives the same bits, and no op builds an index array.
-Every result still passes the constructor's checks, without a second copy.
-`measure` draws through `_born_table` and `_draw`, which `tradeoff` shares
-for the Born tables it keeps; `protocol` reads the photon's weight off it.  It normalizes by the drawn row's weight and
-the constructor checks a state of over 2**13 amplitudes with einsum, so no
-long dot goes to BLAS: a run uses one core, and its bits do not depend on
-the thread count.
+gives the same bits, and no op builds an index array.  Every result still
+passes the constructor's checks, without a second copy.  `measure` draws
+through `_born_table` and `_draw`, which `protocol` shares for the register
+tables its read-out keeps and the photon's weight.  `measure` normalizes by
+the drawn row's weight and the constructor checks a state of over 2**13
+amplitudes with einsum, so no long dot goes to BLAS: a run uses one core,
+and its bits do not depend on the thread count.
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ the n-bit phase grid against SUCCESS_THRESHOLD = 0.9.  Three regimes:
   lowest m bits, each later one the next bits up, with the known low bits
   cancelled by a diagonal correction.  On the n-bit grid every read is
   exact, so an estimate is one walk over the windows.  A window's queried
-  state, and the Born table of each photon branch, are built once per grid
-  phase; every run charges its 2**e queries and draws from that table, and
-  `trials` walks per grid phase give its hit rate.
+  state, and the protocol's read-out of it under each correction, are built
+  once per grid phase; every run charges its 2**e queries and draws through
+  that read-out, and `trials` walks per grid phase give its hit rate.
 * F = 1: only the fixed unit-rate observable.  `classical_estimate`
   inverts S binomial shots from each of the fringes cos^2(2*pi*phi) and
   cos^2(2*pi*phi + pi/4), so its chance of a hit is a finite sum over the
@@ -39,9 +39,8 @@ from typing import Sequence
 import numpy as np
 
 from .clock import ClockModel, ResourceLedger, _frac, fixed_rate_query
-from .protocol import _fold_conjugate, _queried_state, within_precision
-from .qsim import StateVector, basis_state, diagonal_phase, hadamard, inverse_qft, measure
-from .qsim import _born_table, _count, _draw
+from .protocol import _queried_state, _Readout, within_precision
+from .qsim import StateVector, _count, basis_state, diagonal_phase, hadamard
 
 # the worst per-phase success a point must reach; the F = 1 row's sample counts
 SUCCESS_THRESHOLD = 0.9
@@ -195,44 +194,24 @@ def _window_exponents(n_bits: int, m: int) -> list[int]:
 
 class _Window:
     """One window at one grid phase: its queried state, 2**exponent queries
-    made as one at phase 2**exponent * phi mod 1, and the Born table of each
-    register read so far, keyed by (photon bit, known_turns), an exact dyadic."""
+    made as one at phase 2**exponent * phi mod 1, and a read-out per
+    known_turns, the exact dyadic part of that phase the lower windows read.
+    The receiver's local rotation cancels it, -known_turns per register unit
+    on photon |0> and + on |1>, before the photon measurement it commutes with."""
 
     def __init__(self, phi: float, m: int, exponent: int) -> None:
+        self.m = m
         self.queried = _queried_state(ClockModel(_frac(phi * (1 << exponent)), 1.0), m)
-        self.tables: dict[tuple[int, float], tuple[np.ndarray, float]] = {}
+        self.readouts: dict[float, _Readout] = {}
 
-
-def _measure_window(
-    window: _Window,
-    m: int,
-    exponent: int,
-    known_turns: float,
-    rng: np.random.Generator,
-    ledger: ResourceLedger,
-) -> int:
-    """Estimate one m-bit window of the phase at bit offset `exponent`.
-
-    Each run charges the 2**exponent queries to `ledger` and measures the
-    photon of `window.queried`.  On a branch's first run its register state is
-    built: known_turns (the part of 2**exponent * phi the lower windows already
-    read) cancelled by a diagonal rotation whose sign follows the photon, then
-    the inverse QFT.  Its Born table is kept, and every run draws from it.
-    """
-    ledger.record_query((1 << m) - 1, count=1 << exponent)
-    photon = measure(window.queried, [m], rng)
-    key = (photon.value, known_turns)
-    if key not in window.tables:
-        reg = range(m)
-        state = photon.collapsed
-        if known_turns > 0:
-            sign = -1.0 if photon.value == 0 else 1.0
-            turns = _frac(np.arange(1 << m) * known_turns)
-            state = diagonal_phase(state, reg, 2.0 * np.pi * sign * turns)
-        # every qubit is read, so the (register, rest) block is one column
-        window.tables[key] = _born_table(inverse_qft(state, reg).amps[:, None])[1:]
-    value = _draw(*window.tables[key], rng)
-    return _fold_conjugate(value, m) if photon.value == 1 else value
+    def readout(self, known_turns: float) -> _Readout:
+        if known_turns not in self.readouts:
+            state = self.queried
+            if known_turns > 0:
+                turns = 2.0 * np.pi * _frac(np.arange(1 << self.m) * known_turns)
+                state = diagonal_phase(state, range(self.m + 1), np.concatenate((-turns, turns)))
+            self.readouts[known_turns] = _Readout(state, self.m)
+        return self.readouts[known_turns]
 
 
 def _windowed_estimate(
@@ -255,7 +234,8 @@ def _windowed_estimate(
         for window, exponent in zip(windows, exponents):
             shift = n_bits - exponent - m
             known_turns = (value & ((1 << shift) - 1)) / float(1 << (shift + m))
-            read = _measure_window(window, m, exponent, known_turns, rng, ledger)
+            ledger.record_query((1 << m) - 1, count=1 << exponent)
+            read = window.readout(known_turns).draw(rng)[1]
             value |= (read << shift) >> known << known
             known = shift + m
         phases[trial] = value / float(1 << n_bits)

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import fields
 
@@ -431,6 +432,35 @@ def test_offset_must_keep_its_phase_bits(args, t_true, accepted):
     # run_sync holds library callers to the same guard
     with pytest.raises(ValueError, match="offset_T"):
         run_sync(config, clock, child_rng(1, 0))
+
+
+@pytest.mark.parametrize("scenario", ["sync", "boost --delta 0.2", "lemma1", "reduction"])
+def test_omega0_must_be_a_normal_float(tmp_path, capsys, scenario):
+    # one float below the smallest normal, phase / omega0 overflows for a
+    # phase near 1: refused at admission, not deep in ClockModel
+    base = ["--scenario", *scenario.split(), "--n", "3", "--trials", "2", "--out", str(tmp_path / "o.csv")]
+    assert main([*base, "--omega0", repr(sys.float_info.min)]) == 0
+    for omega0 in (math.nextafter(sys.float_info.min, 0), 5e-324):
+        with pytest.raises(SystemExit) as err:
+            main([*base, "--omega0", repr(omega0)])
+        assert err.value.code == 2
+        assert "omega0" in capsys.readouterr().err
+
+
+def test_reduction_handshake_must_keep_its_phase_bits(tmp_path, capsys):
+    # the handshake turns omega0 * t for |t| <= 12 s on a 7-qubit register:
+    # 12 * omega0 = 2**36 has an ulp of 2**-16, one bit short of 2**-17
+    edge = 2.0**36 / 12.0
+    assert edge * 12.0 == 2.0**36
+    base = ["--scenario", "reduction", "--trials", "1", "--out", str(tmp_path / "r.csv")]
+    assert main([*base, "--omega0", repr(math.nextafter(edge, 0))]) == 0
+    # 1e17 printed a zero deviation on phases with no fractional bit; 1e308
+    # died in z_phase on a non-finite angle
+    for omega0 in (edge, 1e17, 1e308):
+        with pytest.raises(SystemExit) as err:
+            main([*base, "--omega0", repr(omega0)])
+        assert err.value.code == 2
+        assert "omega0" in capsys.readouterr().err
 
 
 # (setting key, text, ExperimentSpec field, parsed value), one row per field

@@ -28,7 +28,7 @@ from ticksync import (
     within_precision,
 )
 from ticksync import harness, protocol
-from ticksync.protocol import _nearest_grid_index, _queried_state
+from ticksync.protocol import _nearest_grid_index, _queried_state, _Readout
 from ticksync.seeding import child_rng
 from reference import (
     circular_distance as reference_distance,
@@ -290,6 +290,22 @@ def test_conjugate_branch_mirrors_register_distribution():
             branch1 = probs[size:]
             reflected = branch1[(size - np.arange(size)) % size]
             assert np.allclose(probs[:size], reflected, atol=1e-12)
+
+
+def test_readout_tables_match_the_post_transform_reference():
+    # each photon branch's kept register table, normalized, against the
+    # reference's photon rows after the inverse QFT, on and off the grid
+    for n_prime in range(1, 9):
+        size = 1 << n_prime
+        for phi in (0.0, 3 / size % 1.0, (size - 1) / size, 0.303, 1 / 3, math.pi % 1.0):
+            readout = _Readout(_queried_state(ClockModel(phi, 1.0), n_prime), n_prime)
+            rng = child_rng(n_prime, 9)
+            while len(readout.tables) < 2:
+                readout.draw(rng)
+            rows = (np.abs(final_joint_state(n_prime, phi)) ** 2).reshape(2, size)
+            for bit, (cumsum, total) in readout.tables.items():
+                weights = np.diff(cumsum, prepend=0.0) / total
+                assert np.max(np.abs(weights - rows[bit] / rows[bit].sum())) <= 1e-12, (n_prime, phi, bit)
 
 
 def test_photon_outcome_is_fair():

@@ -20,7 +20,7 @@ from ticksync import (
     tradeoff_sweep,
     z_phase,
 )
-from ticksync import tradeoff
+from ticksync import protocol, tradeoff
 from ticksync.harness import MAX_TRADEOFF_BITS
 from ticksync.tradeoff import (
     _binomial_pmf, _classical_success, _Window, _window_exponents, _windowed_estimate,
@@ -28,7 +28,8 @@ from ticksync.tradeoff import (
 from ticksync.seeding import child_rng
 
 from reference import (
-    four_sigma, plain_classical_estimate, plain_classical_success, plain_windowed_estimate,
+    final_joint_state, four_sigma, plain_classical_estimate, plain_classical_success,
+    plain_windowed_estimate,
 )
 
 
@@ -365,7 +366,7 @@ def test_hoisted_windows_match_sequential_circuits(monkeypatch):
     # reference that rebuilds each window with 2**e single queries: same
     # draws, streams and query counts
     built = []
-    monkeypatch.setattr(tradeoff, "inverse_qft", lambda *a: built.append(1) or inverse_qft(*a))
+    monkeypatch.setattr(protocol, "inverse_qft", lambda *a: built.append(1) or inverse_qft(*a))
     seen = set()
     for n_bits, m in ((4, 1), (5, 2), (5, 3), (4, 4)):
         exponents = _window_exponents(n_bits, m)
@@ -386,3 +387,25 @@ def test_hoisted_windows_match_sequential_circuits(monkeypatch):
             seen |= {(bit, known > 0) for _, bit, known in branches}
     # both photon branches, with and without a known-bits correction
     assert seen == {(0, False), (1, False), (0, True), (1, True)}
+
+
+def test_corrected_window_tables_match_the_reference_at_the_shifted_phase():
+    # the known-bits rotation goes on before the photon measurement, with
+    # which it commutes: each branch's kept register table is a plain run's
+    # at frac(2**e * phi - known_turns), to 1e-12
+    for m in (1, 2, 3, 4):
+        size = 1 << m
+        for exponent in (0, 1, 3):
+            for phi in (5 / 16, 0.303, 0.77, 1 / 3):
+                window = _Window(phi, m, exponent)
+                for shift in (1, 2, 3):
+                    for j in range(1 << shift):
+                        known_turns = j / float(1 << (shift + m))
+                        readout, rng = window.readout(known_turns), child_rng(m, exponent, shift, j)
+                        while len(readout.tables) < 2:
+                            readout.draw(rng)
+                        shifted = (phi * (1 << exponent) - known_turns) % 1.0
+                        rows = (np.abs(final_joint_state(m, shifted)) ** 2).reshape(2, size)
+                        for bit, (cumsum, total) in readout.tables.items():
+                            weights = np.diff(cumsum, prepend=0.0) / total
+                            assert np.max(np.abs(weights - rows[bit] / rows[bit].sum())) <= 1e-12
