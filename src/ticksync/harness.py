@@ -8,11 +8,15 @@ integer setting passes `qsim._count`.  Beyond a normal omega0, the grid-scan
 cap and the tradeoff sweep's edge, ExperimentSpec admits by protocol's rules
 (`loses_phase_bits` for reduction's handshake too), not its own.
 
-Every scenario derives all randomness from the spec's seed and writes one
-UTF-8 CSV file: ``# key = value`` lines echoing the version, the settings in
-field order and scenario constants, then a header row, then data rows.
-Floats are written with repr so identical specs produce byte-identical
-files; a one-line summary goes to stdout.
+Every scenario derives all randomness from the spec's seed and returns
+``(table, extras, summary)``: ``table`` maps each column name, in header
+order, to its column (a list, a range or a numpy array, None for an empty
+cell), ``extras`` are the scenario's constants and ``summary`` is the line
+printed to stdout.  One UTF-8 CSV file is written: ``# key = value`` lines
+echoing the version, the settings in field order and the extras, then a
+header row of the table's names, then its rows, each streamed to the file
+as it is formatted.  Floats are written with repr so identical specs
+produce byte-identical files.
 
 Scenarios:
 
@@ -60,8 +64,8 @@ _GRID_BITS = 4
 MAX_GRID_SCAN_AMPLITUDES = 1 << 24
 
 # Widest tradeoff sweep: its time grows two- to threefold per bit (20 trials,
-# seed 1, 2-vCPU VM: 3.6 s at n = 8, 25 s at n = 10, of which the exact F = 1
-# row, up to 2**16 samples, takes 0.6 s), so n = 20 would take days.
+# seed 1, 2-vCPU VM: 2.4-2.6 s at n = 8, 14 s at n = 10, of which the exact
+# F = 1 row, up to 2**16 samples, takes 0.4 s), so n = 20 would take days.
 MAX_TRADEOFF_BITS = 10
 
 
@@ -129,55 +133,35 @@ class ExperimentSpec:
 def _scenario_sync(spec: ExperimentSpec):
     config = ProtocolConfig(spec.n_bits, spec.delta)
     n_prime = config.effective_register
-    rows = []
-    successes = 0
+    t_trues, phis, ledgers, estimates = [], [], [], []
     for trial in range(spec.trials):
         stream = child_rng(spec.seed, 0, trial)
-        if spec.t_true is None:
-            t_true = float(stream.random()) / spec.omega0
-        else:
-            t_true = spec.t_true
+        t_true = float(stream.random()) / spec.omega0 if spec.t_true is None else float(spec.t_true)
         clock = ClockModel(offset_T=t_true, omega0=spec.omega0)
-        ledger = ResourceLedger()
-        estimate = run_sync(config, clock, stream, ledger)
-        phi = clock.phi_star
-        success = int(within_precision(estimate.phase_hat, phi, spec.n_bits))
-        successes += success
-        rows.append(
-            (
-                trial,
-                spec.seed,
-                float(phi),
-                estimate.photon_bit,
-                estimate.raw_m,
-                float(estimate.phase_hat),
-                float(estimate.T_hat),
-                success,
-                ledger.queries_Q,
-                ledger.max_rate_index,
-                float(t_true),
-            )
-        )
-    columns = (
-        "trial",
-        "seed",
-        "phi_true",
-        "photon_bit",
-        "raw_m",
-        "phase_hat",
-        "t_hat",
-        "success",
-        "Q",
-        "F",
-        "t_true",
-    )
+        t_trues.append(t_true)
+        ledgers.append(ResourceLedger())
+        estimates.append(run_sync(config, clock, stream, ledgers[-1]))
+        phis.append(clock.phi_star)
+    table = {
+        "trial": range(spec.trials),
+        "seed": [spec.seed] * spec.trials,
+        "phi_true": phis,
+        "photon_bit": [e.photon_bit for e in estimates],
+        "raw_m": [e.raw_m for e in estimates],
+        "phase_hat": [e.phase_hat for e in estimates],
+        "t_hat": [e.T_hat for e in estimates],
+        "success": [int(within_precision(e.phase_hat, phi, spec.n_bits)) for e, phi in zip(estimates, phis)],
+        "Q": [ledger.queries_Q for ledger in ledgers],
+        "F": [ledger.max_rate_index for ledger in ledgers],
+        "t_true": t_trues,
+    }
     extras = (("n_prime", n_prime),)
-    rate = successes / spec.trials
+    rate = sum(table["success"]) / spec.trials
     summary = (
         f"sync: n={spec.n_bits} n_prime={n_prime} trials={spec.trials} "
         f"success_rate={rate:.4f}"
     )
-    return columns, rows, extras, summary
+    return table, extras, summary
 
 
 def _grid_scan(n_prime: int, n_bits: int, shift: float = 0.0):
@@ -194,18 +178,19 @@ def _scenario_sweep_phi(spec: ExperimentSpec):
     n = spec.n_bits
     phis, probs = _grid_scan(n, n)
     worst_phi, worst_p = phis[np.argmin(probs)], probs.min()
-    rows = [
-        (g, phi, p, photon_zero_probability(n, phi))
-        for g, (phi, p) in enumerate(zip(phis.tolist(), probs.tolist()))
-    ]
-    columns = ("grid_index", "phi", "success_prob", "p_photon0")
+    table = {
+        "grid_index": range(phis.size),
+        "phi": phis,
+        "success_prob": probs,
+        "p_photon0": [photon_zero_probability(n, phi) for phi in phis.tolist()],
+    }
     extras = (("grid_points", phis.size),)
     floor = 4.0 / math.pi**2
     summary = (
         f"sweep-phi: n={n} grid={phis.size} min_success={worst_p:.6f} "
         f"at phi={worst_phi:.6f} floor_4_over_pi_sq={floor:.6f}"
     )
-    return columns, rows, extras, summary
+    return table, extras, summary
 
 
 def _scenario_boost(spec: ExperimentSpec):
@@ -215,8 +200,7 @@ def _scenario_boost(spec: ExperimentSpec):
     # the estimate is exact on the n'-bit register grid: scan half a bin off it
     phis, probs = _grid_scan(n_prime, n, 2.0 ** -(n_prime + 1))
     worst_phi, worst_p = float(phis[np.argmin(probs)]), probs.min()
-    rows = list(zip(range(phis.size), phis.tolist(), probs.tolist()))
-    columns = ("grid_index", "phi", "success_prob")
+    table = {"grid_index": range(phis.size), "phi": phis, "success_prob": probs}
 
     clock = ClockModel(offset_T=worst_phi / spec.omega0, omega0=spec.omega0)
     failures = 0
@@ -231,27 +215,21 @@ def _scenario_boost(spec: ExperimentSpec):
         f"worst_exact_success={worst_p:.6f} mc_failure_rate={failure_rate:.6f} "
         f"mc_trials={spec.trials}"
     )
-    return columns, rows, extras, summary
+    return table, extras, summary
 
 
 def _scenario_lemma1(spec: ExperimentSpec):
-    rows = []
     state_grid = 1000
-    max_dev = 0.0
-    for g in range(state_grid):
-        phi = g / state_grid
-        clock = ClockModel(offset_T=phi / spec.omega0, omega0=spec.omega0)
-        probs = single_rate_state(clock).probabilities()
-        theory0 = math.cos(2.0 * math.pi * phi) ** 2
-        dev = max(abs(float(probs[0]) - theory0), abs(float(probs[1]) - (1.0 - theory0)))
-        max_dev = max(max_dev, dev)
-        rows.append(("state", g, float(phi), float(theory0), float(probs[0]), float(dev), None, None))
+    state_phis = [g / state_grid for g in range(state_grid)]
+    theory = np.array([math.cos(2.0 * math.pi * phi) ** 2 for phi in state_phis])
+    probs = np.array([
+        single_rate_state(ClockModel(offset_T=phi / spec.omega0, omega0=spec.omega0)).probabilities()
+        for phi in state_phis
+    ])
+    devs = np.maximum(np.abs(probs[:, 0] - theory), np.abs(probs[:, 1] - (1.0 - theory)))
 
     # the unit-rate observable determines the phase only mod 1/2
-    if spec.t_true is not None:
-        t_true = spec.t_true
-    else:
-        t_true = (1.0 / 16.0) / spec.omega0
+    t_true = (1.0 / 16.0) / spec.omega0 if spec.t_true is None else spec.t_true
     clock = ClockModel(offset_T=t_true, omega0=spec.omega0)
     phi_b = clock.phi_star
     sample_counts = (100, 1000, 10000, 100000)
@@ -263,35 +241,35 @@ def _scenario_lemma1(spec: ExperimentSpec):
             t_hat, _ = classical_estimate(clock, samples, stream)
             d = abs(t_hat * spec.omega0 - phi_b) % 0.5
             errors.append(min(d, 0.5 - d))
-        median = float(np.median(errors))
-        medians.append(max(median, 1e-18))
-        rows.append(("classical", s_index, float(phi_b), None, None, None, samples, median))
+        medians.append(float(np.median(errors)))
 
     slope = float(
-        np.polyfit(np.log10(sample_counts), np.log10(medians), 1)[0]
+        np.polyfit(np.log10(sample_counts), np.log10(np.maximum(medians, 1e-18)), 1)[0]
     )
-    columns = (
-        "kind",
-        "index",
-        "phi",
-        "p0_theory",
-        "p0_state",
-        "deviation",
-        "samples",
-        "median_abs_err",
-    )
+    # state rows, then classical rows: each kind leaves the other's columns empty
+    state_pad, classical_pad = [None] * state_grid, [None] * len(sample_counts)
+    table = {
+        "kind": ["state"] * state_grid + ["classical"] * len(sample_counts),
+        "index": [*range(state_grid), *range(len(sample_counts))],
+        "phi": state_phis + [phi_b] * len(sample_counts),
+        "p0_theory": [*theory, *classical_pad],
+        "p0_state": [*probs[:, 0], *classical_pad],
+        "deviation": [*devs, *classical_pad],
+        "samples": state_pad + list(sample_counts),
+        "median_abs_err": state_pad + medians,
+    }
     extras = (("state_grid", state_grid), ("sample_counts", " ".join(map(str, sample_counts))))
     summary = (
-        f"lemma1: max_state_deviation={max_dev:.3e} classical_slope={slope:.3f} "
+        f"lemma1: max_state_deviation={devs.max():.3e} classical_slope={slope:.3f} "
         f"phi={phi_b:.6f} reps={spec.trials}"
     )
-    return columns, rows, extras, summary
+    return table, extras, summary
 
 
 def _scenario_reduction(spec: ExperimentSpec):
     max_k = 64
     reg_bits = max_k.bit_length()  # 7 qubits cover k = 0..64
-    rows = []
+    ks = range(1, max_k + 1)
 
     pairs = spec.trials
     pair_data = []
@@ -300,10 +278,13 @@ def _scenario_reduction(spec: ExperimentSpec):
         T = float(stream.uniform(-2.0, 2.0))
         clock, sample_transit = make_world(T, spec.omega0, stream)
         pair_data.append((clock, sample_transit()))
+    # handshake_simulate's float bound at rate k: 2*pi*k*omega0*ulp(max |t|), max over pairs
+    ulp_t = max(math.ulp(max(abs(r.t_A), abs(r.t_B), r.t_tr)) for _, r in pair_data)
+    bounds = [2.0 * math.pi * k * spec.omega0 * ulp_t for k in ks]
 
     photon = hadamard(basis_state(1, 0), 0)
-    overall_handshake = 0.0
-    for k in range(1, max_k + 1):
+    handshake_devs = []
+    for k in ks:
         pinned = hadamard(basis_state(reg_bits + 1, k), reg_bits)
         dev = 0.0
         for clock, transit in pair_data:
@@ -311,56 +292,59 @@ def _scenario_reduction(spec: ExperimentSpec):
             queried = tqh_oracle(clock, pinned, range(reg_bits), reg_bits)
             oracle_amps = queried.amps[[k, k + (1 << reg_bits)]]
             dev = max(dev, float(np.max(np.abs(via_handshake.amps - oracle_amps))))
-        overall_handshake = max(overall_handshake, dev)
-        rows.append(("handshake_vs_oracle", k, float(dev)))
+        handshake_devs.append(dev)
 
     n_phases = 50
     phase_stream = child_rng(spec.seed, 4)
     phases = [float(phase_stream.random()) for _ in range(n_phases)]
-    overall_ratek = 0.0
-    for k in range(1, max_k + 1):
+    ratek_devs = []
+    for k in ks:
         dev = 0.0
         for phi in phases:
             clock = ClockModel(offset_T=phi / spec.omega0, omega0=spec.omega0)
             repeated = simulate_rate_k_with_unit_rate(clock, k, photon, 0)
             direct = fixed_rate_query(clock, photon, 0, k)
             dev = max(dev, float(np.max(np.abs(repeated.amps - direct.amps))))
-        overall_ratek = max(overall_ratek, dev)
-        rows.append(("rate_k_vs_direct", k, float(dev)))
+        ratek_devs.append(dev)
 
-    columns = ("check", "k", "max_abs_deviation")
+    table = {
+        "check": ["handshake_vs_oracle"] * max_k + ["rate_k_vs_direct"] * max_k,
+        "k": [*ks, *ks],
+        "max_abs_deviation": handshake_devs + ratek_devs,
+    }
     extras = (("pairs", pairs), ("phases", n_phases), ("max_k", max_k))
+    # each k's bound grows as k, so the worst k over its bound has the largest dev / k
+    over = [(dev / k, k) for k, dev, bound in zip(ks, handshake_devs, bounds) if dev > bound]
+    worst = f" handshake_over_bound_at_k={max(over)[1]}" if over else ""
     summary = (
-        f"reduction: handshake_max_dev={overall_handshake:.3e} "
-        f"rate_k_max_dev={overall_ratek:.3e}"
+        f"reduction: handshake_max_dev={max(handshake_devs):.3e} "
+        f"handshake_bound={bounds[-1]:.3e}{worst} rate_k_max_dev={max(ratek_devs):.3e}"
     )
-    return columns, rows, extras, summary
+    return table, extras, summary
 
 
 def _scenario_tradeoff(spec: ExperimentSpec):
     n = spec.n_bits
     F_values = [1 << j for j in range(n + 1)]
     points = tradeoff_sweep(n, F_values, spec.trials, child_rng(spec.seed, 5))
-    rows = []
-    min_fq = math.inf
-    implied_c = 0.0
-    for point in points:
-        fq = point.F * point.Q
-        # a row that missed the threshold did not buy n bits with its queries;
-        # the F = 2**n row always meets it, so both values stay defined
-        if point.success_rate >= SUCCESS_THRESHOLD:
-            min_fq = min(min_fq, fq)
-            implied_c = max(implied_c, n - math.log2(fq))
-        rows.append(
-            (point.F, point.Q, point.n_bits_achieved, float(point.success_rate), fq)
-        )
-    columns = ("F", "Q", "n_bits_achieved", "success_rate", "FQ_product")
+    table = {
+        "F": [point.F for point in points],
+        "Q": [point.Q for point in points],
+        "n_bits_achieved": [point.n_bits_achieved for point in points],
+        "success_rate": [point.success_rate for point in points],
+        "FQ_product": [point.F * point.Q for point in points],
+    }
+    # a row that missed the threshold did not buy n bits with its queries;
+    # the F = 2**n row always meets it, so both values stay defined
+    met = [fq for fq, point in zip(table["FQ_product"], points) if point.success_rate >= SUCCESS_THRESHOLD]
+    min_fq = min(met)
+    implied_c = max(n - math.log2(fq) for fq in met)
     extras = (("success_threshold", SUCCESS_THRESHOLD), ("trials_per_phase", spec.trials))
     summary = (
         f"tradeoff: n={n} min_FQ={min_fq} implied_c={implied_c:.2f} "
         f"(every F*Q >= 2**(n - c))"
     )
-    return columns, rows, extras, summary
+    return table, extras, summary
 
 
 # name -> (scenario function, the optional settings it accepts)
@@ -386,15 +370,23 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(spec: ExperimentSpec, extras, columns, rows) -> None:
+def _write_csv(spec: ExperimentSpec, extras, table) -> None:
     settings = [(f.metadata["key"], getattr(spec, f.name)) for f in fields(spec)]
     header = [f"# ticksync {__version__}"]
     header += [f"# {key} = {_format_cell(value)}" for key, value in [*settings, *extras]]
-    header.append(",".join(columns))
-    # each row goes to the file as it is formatted; the text is never held whole
+    header.append(",".join(table))
+    # one formatter per column, picked once: a float array's elements write as
+    # the repr of their Python floats, any other column cell by cell
+    cells = [
+        map(repr, map(float, column)) if isinstance(column, np.ndarray) and column.dtype.kind == "f"
+        else map(_format_cell, column)
+        for column in table.values()
+    ]
+    # each row goes to the file as it is formatted; the text is never held
+    # whole, and a short column raises rather than truncating the table
     with open(spec.output_path, "w", encoding="utf-8", newline="") as handle:
         handle.writelines(line + "\n" for line in header)
-        handle.writelines(",".join(map(_format_cell, row)) + "\n" for row in rows)
+        handle.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
 def run(spec: ExperimentSpec) -> int:
@@ -403,9 +395,9 @@ def run(spec: ExperimentSpec) -> int:
     Writes the CSV to spec.output_path and prints a one-line summary.  An
     unwritable output path is reported on stderr with status 1.
     """
-    columns, rows, extras, summary = SCENARIOS[spec.scenario][0](spec)
+    table, extras, summary = SCENARIOS[spec.scenario][0](spec)
     try:
-        _write_csv(spec, extras, columns, rows)
+        _write_csv(spec, extras, table)
     except OSError as exc:
         print(f"error: cannot write {spec.output_path!r}: {exc}", file=sys.stderr)
         return 1

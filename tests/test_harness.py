@@ -8,11 +8,11 @@ import pytest
 
 from ticksync import (
     ClockModel, ExperimentSpec, LowerBoundParams, ProtocolConfig, StateVector, __version__,
-    basis_state, boosted_register_size, child_rng, hadamard, indexed_phase, measure, qft, run,
-    run_sync, success_probability_exact, tradeoff, tradeoff_sweep,
+    basis_state, boosted_register_size, child_rng, hadamard, harness, indexed_phase, measure, qft, run,
+    run_sync, success_probability_exact, tradeoff, tradeoff_sweep, z_phase,
 )
 from ticksync.cli import main, parse_config
-from ticksync.harness import _format_cell, _write_csv
+from ticksync.harness import SCENARIOS, _format_cell, _write_csv
 
 
 def _spec(tmp_path, **kw):
@@ -293,19 +293,63 @@ def test_run_reports_unwritable_path(tmp_path, capsys):
 
 
 def test_csv_rows_are_written_as_they_are_formatted(tmp_path):
-    # no copy of the text is held: the write's traced peak stays far below the file size
+    # no copy of the text is held: the write's traced peak stays far below the
+    # file size, and a float array column is formatted element by element (its
+    # .tolist() alone would hold about 1.6 MB against a bound of about 156 KB)
     spec = _spec(tmp_path, output_path="w.csv")
-    rows = [(i, 0.1 * i, None, "x") for i in range(50_000)]
+    count = 50_000
+    table = {"a": range(count), "b": np.arange(count) * 0.1, "c": [None] * count, "d": ["x"] * count}
     tracemalloc.start()
     try:
-        _write_csv(spec, (("extra", 1),), ("a", "b", "c", "d"), rows)
+        _write_csv(spec, (("extra", 1),), table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     text = (tmp_path / "w.csv").read_bytes().decode()
     assert text.endswith("\n49999,4999.900000000001,,x\n") and "\r" not in text
-    assert text.count("\n") == len(rows) + len(fields(spec)) + 3
+    assert text.count("\n") == count + len(fields(spec)) + 3
     assert peak < len(text) / 8
+
+
+_SMALL_SPECS = {
+    "sync": dict(n_bits=3, trials=5),
+    "sweep-phi": dict(n_bits=2),
+    "boost": dict(n_bits=2, delta=0.2, trials=3),
+    "tradeoff": dict(n_bits=2, trials=2),
+    "lemma1": dict(trials=2),
+    "reduction": dict(trials=1),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_column_writer_matches_a_per_cell_reference(tmp_path, scenario):
+    spec = _spec(tmp_path, scenario=scenario, **_SMALL_SPECS[scenario])
+    table, extras, _ = SCENARIOS[scenario][0](spec)
+    _write_csv(spec, extras, table)
+    _, header, rows = _read(tmp_path / "out.csv")
+    assert header == list(table)
+    assert [",".join(row) for row in rows] == [
+        ",".join(_format_cell(column[i]) for column in table.values()) for i in range(len(table[header[0]]))
+    ]
+
+
+def test_column_writer_formats_mixed_columns_and_refuses_a_short_one(tmp_path):
+    spec = _spec(tmp_path)
+    table = {
+        "gaps": [None, 0.5, 2, "a"],
+        "range": range(10, 14),
+        "ints": np.arange(4, dtype=np.int64) - 2,
+        "floats": np.array([0.1, -0.0, 1e-300, 2.0 / 3.0]),
+    }
+    _write_csv(spec, (), table)
+    _, header, rows = _read(tmp_path / "out.csv")
+    lines = [",".join(row) for row in rows]
+    assert header == list(table)
+    assert lines == [",10,-2,0.1", "0.5,11,-1,-0.0", "2,12,0,1e-300", "a,13,1,0.6666666666666666"]
+    assert lines == [",".join(_format_cell(column[i]) for column in table.values()) for i in range(4)]
+    table["short"] = [1, 2, 3]
+    with pytest.raises(ValueError):
+        _write_csv(spec, (), table)
 
 
 def test_parse_config_defaults_and_flags():
@@ -461,6 +505,34 @@ def test_reduction_handshake_must_keep_its_phase_bits(tmp_path, capsys):
             main([*base, "--omega0", repr(omega0)])
         assert err.value.code == 2
         assert "omega0" in capsys.readouterr().err
+
+
+def _summary_fields(out):
+    return dict(item.split("=") for item in out.split()[1:])
+
+
+def test_reduction_summary_states_the_handshake_float_bound(tmp_path, capsys, monkeypatch):
+    # at the largest admitted omega0 the handshake deviation reads ~1e-3, not
+    # ~1e-13; the summary prints handshake_simulate's bound beside it, at most
+    # 2*pi*64*omega0*ulp(12 s) since |t| <= 12 s
+    omega0 = math.nextafter(2.0**36 / 12.0, 0)
+    assert run(_spec(tmp_path, scenario="reduction", trials=2, omega0=omega0)) == 0
+    summary = _summary_fields(capsys.readouterr().out)
+    assert float(summary["handshake_max_dev"]) > 1e-6
+    assert 0.0 < float(summary["handshake_bound"]) <= 2 * math.pi * 64 * omega0 * math.ulp(12.0) * 1.001
+    assert "handshake_over_bound_at_k" not in summary
+
+    # a k whose deviation passes its own bound is named, the worst by dev / k
+    real = harness.handshake_simulate
+    skew = {5: 1e-6, 9: 1e-6}
+    monkeypatch.setattr(
+        harness, "handshake_simulate",
+        lambda clock, k, photon, transit: z_phase(real(clock, k, photon, transit), 0, skew.get(k, 0.0)),
+    )
+    assert run(_spec(tmp_path, scenario="reduction", trials=1)) == 0
+    summary = _summary_fields(capsys.readouterr().out)
+    assert summary["handshake_over_bound_at_k"] == "5"
+    assert float(summary["handshake_max_dev"]) > float(summary["handshake_bound"])
 
 
 # (setting key, text, ExperimentSpec field, parsed value), one row per field
