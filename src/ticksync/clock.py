@@ -159,10 +159,13 @@ def handshake_simulate(
     While in flight the photon accumulates e^{-2*pi*i*k*omega0*t_tr*Z}; on
     receipt the receiver applies e^{+2*pi*i*k*omega0*(t_B - t_A)*Z} from the
     two local timestamps.  For a consistent record the transit time cancels
-    and the result equals the black-box tqh_oracle at fixed k, up to the
-    rounding of the float timestamps: t_B - t_A keeps it, so each amplitude
-    differs from `fixed_rate_query` / `tqh_oracle` by at most
-    2*pi*k*omega0*ulp(max |t|), the max over t_A, t_B and t_tr.
+    and the result equals the black-box tqh_oracle at fixed k, up to
+    rounding: each amplitude differs from `fixed_rate_query` / `tqh_oracle` by
+    at most 2*pi*k*(omega0*ulp(max |t|) + 2**-52), the max over t_A, t_B and
+    t_tr.  The first term is the timestamps' rounding, which t_B - t_A keeps;
+    the second, a floor that does not shrink with omega0, is the two turns'
+    own rounding: each is k times a fraction below 1, rounded to a float below
+    k, so off by at most k*2**-53.
 
     Raises ValueError if the record disagrees with the clock offset by more
     than TRANSIT_CONSISTENCY_TOL seconds plus TRANSIT_CONSISTENCY_ULPS ulps of

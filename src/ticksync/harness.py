@@ -3,10 +3,11 @@
 Each setting is declared once, as an ExperimentSpec field carrying its key,
 text parser and help line; the CLI flags, config-file keys, integer checks
 and CSV metadata echo are generated from those fields.  SCENARIOS maps each
-scenario name to its function and the optional settings it accepts.  Every
-integer setting passes `qsim._count`.  Beyond a normal omega0, the grid-scan
-cap and the tradeoff sweep's edge, ExperimentSpec admits by protocol's rules
-(`loses_phase_bits` for reduction's handshake too), not its own.
+scenario name to its function, the optional settings it accepts and the
+widest register n' it serves.  Every integer setting passes `qsim._count`.
+Beyond a normal omega0 and that one register edge, ExperimentSpec admits by
+protocol's rules (`loses_phase_bits` for reduction's handshake too), not its
+own.
 
 Every scenario derives all randomness from the spec's seed and returns
 ``(table, extras, summary)``: ``table`` maps each column name, in header
@@ -44,7 +45,7 @@ from .clock import (
     ClockModel, ResourceLedger, _frac, fixed_rate_query, handshake_simulate, make_world, tqh_oracle
 )
 from .protocol import (
-    ProtocolConfig, loses_phase_bits, photon_zero_probability, run_sync,
+    MAX_REGISTER_QUBITS, ProtocolConfig, loses_phase_bits, photon_zero_probability, run_sync,
     success_probability_exact, within_precision,
 )
 from .qsim import _count, basis_state, hadamard
@@ -56,17 +57,6 @@ from .tradeoff import (
 
 # sweep-phi and boost scan 2**(n + _GRID_BITS) phases, 16 per n-bit grid cell
 _GRID_BITS = 4
-
-# Most values a sweep-phi or boost grid scan may compute: per phase, sweep-phi
-# builds one 2**(n + 1)-amplitude state for p_photon0 (n <= 9), and boost is
-# charged 2**(n' - n + 1).  boost's edge, n' <= 19, now bounds its Monte Carlo
-# width and 2**(n + 4) rows, not its scan, which scores one n-bit cell.
-MAX_GRID_SCAN_AMPLITUDES = 1 << 24
-
-# Widest tradeoff sweep: its time grows two- to threefold per bit (20 trials,
-# seed 1, 2-vCPU VM: 2.4-2.6 s at n = 8, 14 s at n = 10, of which the exact
-# F = 1 row, up to 2**16 samples, takes 0.4 s), so n = 20 would take days.
-MAX_TRADEOFF_BITS = 10
 
 
 def _setting(key: str, parse, text: str, default=MISSING):
@@ -104,8 +94,6 @@ class ExperimentSpec:
                 raise ValueError(
                     f"{key.replace('_', '-')} is not meaningful for scenario {self.scenario!r}"
                 )
-        if self.n_bits > 20:
-            raise ValueError(f"n must lie in [1, 20], got {self.n_bits}")
         # a subnormal omega0 overflows phase / omega0, the offset of a phase near 1
         if not (math.isfinite(self.omega0) and self.omega0 >= sys.float_info.min):
             raise ValueError(f"omega0 must be finite and at least {sys.float_info.min!r}, got {self.omega0!r}")
@@ -118,16 +106,14 @@ class ExperimentSpec:
         if self.scenario == "boost" and self.delta is None:
             raise ValueError("scenario boost requires delta")
         n_prime = ProtocolConfig(self.n_bits, self.delta).effective_register
+        edge = SCENARIOS[self.scenario][2]
+        if n_prime > edge:
+            widened = "" if self.delta is None else f" with delta={self.delta!r}"
+            raise ValueError(f"{self.scenario} serves registers up to {edge} qubits; "
+                             f"n={self.n_bits}{widened} needs {n_prime}")
         if self.t_true is not None and loses_phase_bits(self.omega0 * self.t_true, n_prime):
             raise ValueError(f"t-true={self.t_true!r} is too far from 0: omega0 * t-true keeps "
                              f"too few fractional bits for the {n_prime}-qubit register")
-        per_phase = n_prime - self.n_bits if self.scenario == "boost" else self.n_bits
-        values = 1 << (self.n_bits + _GRID_BITS + per_phase + 1)
-        if self.scenario in ("sweep-phi", "boost") and values > MAX_GRID_SCAN_AMPLITUDES:
-            raise ValueError(f"n={self.n_bits} makes the {self.scenario} grid scan compute "
-                             f"{values} values, more than {MAX_GRID_SCAN_AMPLITUDES}")
-        if self.scenario == "tradeoff" and self.n_bits > MAX_TRADEOFF_BITS:
-            raise ValueError(f"n={self.n_bits} is past the tradeoff sweep's edge, n <= {MAX_TRADEOFF_BITS}")
 
 
 def _scenario_sync(spec: ExperimentSpec):
@@ -278,9 +264,9 @@ def _scenario_reduction(spec: ExperimentSpec):
         T = float(stream.uniform(-2.0, 2.0))
         clock, sample_transit = make_world(T, spec.omega0, stream)
         pair_data.append((clock, sample_transit()))
-    # handshake_simulate's float bound at rate k: 2*pi*k*omega0*ulp(max |t|), max over pairs
+    # handshake_simulate's bound at rate k, max over pairs: 2*pi*k*(omega0*ulp(max |t|) + 2**-52)
     ulp_t = max(math.ulp(max(abs(r.t_A), abs(r.t_B), r.t_tr)) for _, r in pair_data)
-    bounds = [2.0 * math.pi * k * spec.omega0 * ulp_t for k in ks]
+    bounds = [2.0 * math.pi * k * (spec.omega0 * ulp_t + 2.0**-52) for k in ks]
 
     photon = hadamard(basis_state(1, 0), 0)
     handshake_devs = []
@@ -347,14 +333,22 @@ def _scenario_tradeoff(spec: ExperimentSpec):
     return table, extras, summary
 
 
-# name -> (scenario function, the optional settings it accepts)
+# name -> (scenario function, the optional settings it accepts, the widest
+# register n' it serves, n or n widened by delta).  At each edge, whole CLI
+# runs on a 2-vCPU VM: sweep-phi (a 2**(n + 1)-amplitude state per phase)
+# 0.6 s and 31 MiB at n = 9; boost 2.7 s and 96 MiB for --n 15 --delta 0.05
+# --trials 20, 4.1-4.5 s and 120 MiB for the 2**21 rows of --n 17 --delta
+# 0.25 --trials 5; tradeoff (two- to threefold per bit) 14.6 s and 47 MiB at
+# n = 10, 20 trials; sync at MAX_REGISTER_QUBITS, which ProtocolConfig
+# refuses past, 132 MiB at n' = 20 and 420 MiB at 22 (one trial); lemma1 and
+# reduction do not read n.
 SCENARIOS = {
-    "sync": (_scenario_sync, ("delta", "t_true")),
-    "sweep-phi": (_scenario_sweep_phi, ()),
-    "boost": (_scenario_boost, ("delta",)),
-    "tradeoff": (_scenario_tradeoff, ()),
-    "lemma1": (_scenario_lemma1, ("t_true",)),
-    "reduction": (_scenario_reduction, ()),
+    "sync": (_scenario_sync, ("delta", "t_true"), MAX_REGISTER_QUBITS),
+    "sweep-phi": (_scenario_sweep_phi, (), 9),
+    "boost": (_scenario_boost, ("delta",), 19),
+    "tradeoff": (_scenario_tradeoff, (), 10),
+    "lemma1": (_scenario_lemma1, ("t_true",), MAX_REGISTER_QUBITS),
+    "reduction": (_scenario_reduction, (), MAX_REGISTER_QUBITS),
 }
 
 
@@ -375,10 +369,11 @@ def _write_csv(spec: ExperimentSpec, extras, table) -> None:
     header = [f"# ticksync {__version__}"]
     header += [f"# {key} = {_format_cell(value)}" for key, value in [*settings, *extras]]
     header.append(",".join(table))
-    # one formatter per column, picked once: a float array's elements write as
-    # the repr of their Python floats, any other column cell by cell
+    # one formatter per column, picked once: a float array's elements write as the
+    # repr of their Python floats, a range's ints as str, any other column cell by cell
     cells = [
         map(repr, map(float, column)) if isinstance(column, np.ndarray) and column.dtype.kind == "f"
+        else map(str, column) if isinstance(column, range)
         else map(_format_cell, column)
         for column in table.values()
     ]

@@ -8,8 +8,8 @@ import pytest
 
 from ticksync import (
     ClockModel, ExperimentSpec, LowerBoundParams, ProtocolConfig, StateVector, __version__,
-    basis_state, boosted_register_size, child_rng, hadamard, harness, indexed_phase, measure, qft, run,
-    run_sync, success_probability_exact, tradeoff, tradeoff_sweep, z_phase,
+    basis_state, boosted_register_size, child_rng, fixed_rate_query, hadamard, harness, indexed_phase,
+    measure, qft, run, run_sync, success_probability_exact, tradeoff, tradeoff_sweep, z_phase,
 )
 from ticksync.cli import main, parse_config
 from ticksync.harness import SCENARIOS, _format_cell, _write_csv
@@ -421,33 +421,29 @@ def test_negative_offset_in_exponent_form_is_a_value(value):
     assert err.value.code == 2
 
 
-def test_grid_scan_cap_refuses_scans_that_cannot_finish(capsys):
-    # sweep-phi at n = 20: 2**24 exact evaluations on 2**21-amplitude states
-    with pytest.raises(ValueError, match="n=20"):
-        ExperimentSpec(scenario="sweep-phi", n_bits=20)
-    # boost is charged 2**(n' - n + 1) per phase: its edge, n' = 19, bounds its
-    # Monte Carlo width and 2**(n + 4) rows, not its scan, which scores one cell
-    ExperimentSpec(scenario="boost", n_bits=15, delta=0.05)
-    for argv in (["--scenario", "sweep-phi", "--n", "10"],
-                 ["--scenario", "boost", "--n", "16", "--delta", "0.05"]):
-        with pytest.raises(SystemExit) as err:
-            parse_config(argv)
-        assert err.value.code == 2
-        assert "n=" in capsys.readouterr().err
-    # the largest scans the tests, the README and the benchmark run
-    ExperimentSpec(scenario="sweep-phi", n_bits=7)
-    ExperimentSpec(scenario="boost", n_bits=5, delta=0.05)
+# (scenario and the setting that widens its register, the widest n it admits):
+# sweep-phi, boost and tradeoff stop at their declared edge, the others at
+# protocol.MAX_REGISTER_QUBITS through ProtocolConfig
+_EDGES = [
+    ("sync", 24), ("sync --delta 0.05", 20), ("sweep-phi", 9), ("boost --delta 0.05", 15),
+    ("tradeoff", 10), ("lemma1", 24), ("reduction", 24),
+]
 
 
-def test_tradeoff_sweep_edge(capsys):
-    # each bit costs about 2.6 times the time: n = 10 is the edge; specs only, nothing runs
-    ExperimentSpec(scenario="tradeoff", n_bits=10)
-    with pytest.raises(ValueError, match="n=11"):
-        ExperimentSpec(scenario="tradeoff", n_bits=11)
+@pytest.mark.parametrize("args,n_edge", _EDGES, ids=[row[0] for row in _EDGES])
+def test_each_scenario_admits_up_to_its_register_edge(capsys, args, n_edge):
+    # specs only, nothing runs: every n up to the edge is admitted, and the
+    # spec at it needs exactly the register SCENARIOS declares
+    base = ["--scenario", *args.split()]
+    for n in range(1, n_edge + 1):
+        spec = parse_config([*base, "--n", str(n)])
+    assert ProtocolConfig(spec.n_bits, spec.delta).effective_register == SCENARIOS[spec.scenario][2]
     with pytest.raises(SystemExit) as err:
-        parse_config(["--scenario", "tradeoff", "--n", "11"])
+        parse_config([*base, "--n", str(n_edge + 1)])
     assert err.value.code == 2
-    assert "n=11" in capsys.readouterr().err
+    message = capsys.readouterr().err
+    assert f"n={n_edge + 1}" in message or f"n_bits={n_edge + 1}" in message
+    assert spec.delta is None or f"delta={spec.delta!r}" in message
 
 
 @pytest.mark.parametrize(
@@ -514,13 +510,22 @@ def _summary_fields(out):
 def test_reduction_summary_states_the_handshake_float_bound(tmp_path, capsys, monkeypatch):
     # at the largest admitted omega0 the handshake deviation reads ~1e-3, not
     # ~1e-13; the summary prints handshake_simulate's bound beside it, at most
-    # 2*pi*64*omega0*ulp(12 s) since |t| <= 12 s
-    omega0 = math.nextafter(2.0**36 / 12.0, 0)
-    assert run(_spec(tmp_path, scenario="reduction", trials=2, omega0=omega0)) == 0
+    # 2*pi*64*(omega0*ulp(12 s) + 2**-52) since |t| <= 12 s
+    edge = math.nextafter(2.0**36 / 12.0, 0)
+    assert run(_spec(tmp_path, scenario="reduction", trials=2, omega0=edge)) == 0
     summary = _summary_fields(capsys.readouterr().out)
     assert float(summary["handshake_max_dev"]) > 1e-6
-    assert 0.0 < float(summary["handshake_bound"]) <= 2 * math.pi * 64 * omega0 * math.ulp(12.0) * 1.001
+    bound = 2 * math.pi * 64 * (edge * math.ulp(12.0) + 2.0**-52)
+    assert 0.0 < float(summary["handshake_bound"]) <= bound * 1.001
     assert "handshake_over_bound_at_k" not in summary
+    # without the 2**-52 floor for rounding the turns, k = 59, 1 and 7 passed
+    # their bounds at the first three; the rate-k half, not checked here, runs
+    # in its direct form to keep the loop fast
+    monkeypatch.setattr(harness, "simulate_rate_k_with_unit_rate",
+                        lambda clock, k, photon, qubit: fixed_rate_query(clock, photon, qubit, k))
+    for omega0 in (1e-300, 1e-3, 0.1, 1.0, 1e3, 1e9, edge):
+        assert run(_spec(tmp_path, scenario="reduction", trials=4, seed=1, omega0=omega0)) == 0
+        assert "handshake_over_bound_at_k" not in _summary_fields(capsys.readouterr().out)
 
     # a k whose deviation passes its own bound is named, the worst by dev / k
     real = harness.handshake_simulate

@@ -21,7 +21,7 @@ from ticksync import (
     z_phase,
 )
 from ticksync import protocol, tradeoff
-from ticksync.harness import MAX_TRADEOFF_BITS
+from ticksync.harness import SCENARIOS
 from ticksync.tradeoff import (
     _binomial_pmf, _classical_success, _Window, _window_exponents, _windowed_estimate,
 )
@@ -159,7 +159,7 @@ def test_classical_row_is_exact_and_needs_no_stream():
     # fringe sampling needs about four times the samples per bit; the row is
     # the same for any trials and rng, and rng neither draws nor spawns
     expected_Q = [32, 32, 32, 32, 128, 512, 2048, 8192, 32768, 131072]
-    assert MAX_TRADEOFF_BITS == len(expected_Q)
+    assert SCENARIOS["tradeoff"][2] == len(expected_Q)
     for n_bits, Q in enumerate(expected_Q, start=1):
         rng = child_rng(n_bits, 5)
         state = rng.bit_generator.state
@@ -178,7 +178,7 @@ def test_classical_row_is_exact_and_needs_no_stream():
 def test_classical_row_meets_the_threshold_at_the_tradeoff_edge(seed):
     # fringe sampling needs about four times the samples per bit: the F = 1
     # row at the widest admitted n runs up to 2**16 or 2**17 samples
-    (point,) = tradeoff_sweep(MAX_TRADEOFF_BITS, [1], 20, child_rng(seed, 5))
+    (point,) = tradeoff_sweep(SCENARIOS["tradeoff"][2], [1], 20, child_rng(seed, 5))
     assert point.success_rate >= tradeoff.SUCCESS_THRESHOLD
     assert point.Q <= 2 * tradeoff.SAMPLE_COUNTS[-1]
 
